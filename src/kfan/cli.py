@@ -107,6 +107,10 @@ def _fan_from_value(value) -> Fan:
         raise InputError(str(exc)) from exc
 
 
+def _violations_text(violations) -> str:
+    return "; ".join(json.dumps(v, sort_keys=True) for v in violations)
+
+
 def load_fan(arg: str, trust: bool = False) -> Fan:
     """Fan from a builtin name, file path, inline JSON, or standard input."""
     if arg in _BUILTIN_FANS or arg.startswith("hirzebruch:"):
@@ -116,7 +120,7 @@ def load_fan(arg: str, trust: bool = False) -> Fan:
     if not trust:
         rep = validate_fan(f)
         if not rep.valid:
-            raise InputError("invalid fan: " + "; ".join(rep.violations))
+            raise InputError("invalid fan: " + _violations_text(rep.violations))
     return f
 
 
@@ -290,11 +294,14 @@ def _bundle_pair(spec_obj):
     fiber = _fan_from_value(spec_obj["fiber"])
     rep = validate_fan(fiber)
     if not rep.valid:
-        raise InputError("invalid fiber fan: " + "; ".join(rep.violations))
+        raise InputError("invalid fiber fan: " + _violations_text(rep.violations))
     try:
         base = base_from_obj(spec_obj["base"])
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if fiber.rank != base.char_rank:
+        raise InputError(f"fiber fan rank {fiber.rank} does not match the base "
+                         f"character rank {base.char_rank}")
     return fiber, base
 
 
@@ -394,6 +401,8 @@ def _cmd_horo(args):
 def _cmd_crosscheck(args):
     if args.hirzebruch is None:
         raise InputError("crosscheck needs --hirzebruch A")
+    if args.hirzebruch < 0:
+        raise InputError(f"--hirzebruch needs a nonnegative twist, got {args.hirzebruch}")
     radius = args.box if args.box is not None else 1
     result = hirzebruch_crosscheck(args.hirzebruch, samples=args.samples,
                                    seed=args.seed, radius=radius)

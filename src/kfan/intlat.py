@@ -7,15 +7,20 @@ package leans on:
 * Hermite and Smith normal forms with their unimodular transforms,
 * saturated kernels, integer linear solving, exact rank and determinant,
 * quotient lattices (by the saturation of a sublattice) with a section,
-* primitive vectors and exact rational solving for barycentric work.
+* primitive vectors and exact rational solving for barycentric work,
+* RowLattice, the sparse incremental echelon that the member-space,
+  ideal-rank and probe computations run on.
 
-Matrices are dense and tiny by design; clarity over asymptotics.
+IntMatrix and the normal forms above are dense and meant for the small
+matrices of fan geometry.  RowLattice works on sparse {column: coeff} rows
+and reduces each inserted row in place on one working copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Optional, Sequence
 
@@ -460,6 +465,13 @@ class RowLattice:
     is the number of pivots and exact integer membership is a leading-term
     reduction.  Insertions use gcd pivoting, which keeps entries from the
     determinant blow-up of fraction-free elimination.
+
+    A row is copied once on entry and then reduced in place: pivot rows are
+    subtracted into that one working dict, and a heap of its columns yields
+    the next leading column.  A row that becomes a pivot is stored as a
+    fresh compact dict.  Neither the caller's row nor any dict already
+    stored in `pivots` is ever mutated; the gcd branch replaces a pivot by a
+    new dict instead of editing it, so rows read out of `pivots` stay valid.
     """
 
     __slots__ = ("pivots",)
@@ -479,57 +491,66 @@ class RowLattice:
 
     def insert(self, row) -> bool:
         """Add a row to the lattice; True when the rank grew."""
-        before = len(self.pivots)
+        pivots = self.pivots
+        before = len(pivots)
         stack = [self._sparse(row)]
         while stack:
             r = stack.pop()
-            while r:
-                c = min(r)
-                piv = self.pivots.get(c)
+            heap = list(r)
+            heapify(heap)
+            while heap:
+                c = heappop(heap)
+                b = r.get(c)
+                if b is None:
+                    continue  # stale entry: the column was cancelled
+                piv = pivots.get(c)
                 if piv is None:
-                    if r[c] < 0:
-                        r = {k: -v for k, v in r.items()}
-                    self.pivots[c] = r
-                    r = None
+                    pivots[c] = {k: -v for k, v in r.items()} if b < 0 else dict(r)
                     break
-                a, b = piv[c], r[c]
+                a = piv[c]
                 if b % a == 0:
-                    f = b // a
-                    r = _row_sub(r, f, piv)
+                    _sub_into(r, b // a, piv, heap)
                 else:
                     g, s, t = _ext_gcd(a, b)
                     new = _row_comb(s, piv, t, r)
-                    rem = _row_sub(piv, a // g, new)
-                    r = _row_sub(r, b // g, new)
-                    self.pivots[c] = new
+                    rem = dict(piv)
+                    _sub_into(rem, a // g, new, [])
+                    _sub_into(r, b // g, new, heap)
+                    pivots[c] = new
                     if rem:
                         stack.append(rem)
-        return len(self.pivots) > before
+        return len(pivots) > before
 
     def contains(self, row) -> bool:
         """Exact membership of the row in the current lattice."""
         r = self._sparse(row)
-        while r:
-            c = min(r)
+        heap = list(r)
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            b = r.get(c)
+            if b is None:
+                continue
             piv = self.pivots.get(c)
-            if piv is None or r[c] % piv[c]:
+            if piv is None or b % piv[c]:
                 return False
-            r = _row_sub(r, r[c] // piv[c], piv)
+            _sub_into(r, b // piv[c], piv, heap)
         return True
 
 
-def _row_sub(r: dict, f: int, p: dict) -> dict:
-    """r - f*p for sparse rows."""
-    if not f:
-        return dict(r)
-    out = dict(r)
+def _sub_into(r: dict, f: int, p: dict, heap: list) -> None:
+    """r -= f*p in place (f nonzero); columns that fill in go on the heap."""
     for c, x in p.items():
-        v = out.get(c, 0) - f * x
-        if v:
-            out[c] = v
+        v = r.get(c)
+        if v is None:
+            r[c] = -f * x
+            heappush(heap, c)
         else:
-            out.pop(c, None)
-    return out
+            v -= f * x
+            if v:
+                r[c] = v
+            else:
+                del r[c]
 
 
 def _row_comb(s: int, p: dict, t: int, r: dict) -> dict:
@@ -555,17 +576,18 @@ def sparse_kernel_basis(n_cols: int, rows) -> list:
     n_cols variables.  Returns an echelon list of sparse kernel vectors
     spanning the full integer kernel lattice.  Same contract as
     kernel_basis, built by tracking coordinates through a RowLattice whose
-    leading block holds the constraint values.
+    leading block holds the constraint values.  The rows are read once and
+    held by columns, each column dropped as it goes into the lattice.
     """
-    rows = [RowLattice._sparse(r) for r in rows]
-    n_rows = len(rows)
+    columns = {}
+    n_rows = 0
+    for row in rows:
+        for c, x in RowLattice._sparse(row).items():
+            columns.setdefault(c, {})[n_rows] = x
+        n_rows += 1
     lat = RowLattice()
     for i in range(n_cols):
-        vec = {}
-        for j, row in enumerate(rows):
-            x = row.get(i, 0)
-            if x:
-                vec[j] = x
+        vec = columns.pop(i, {})
         vec[n_rows + i] = 1
         lat.insert(vec)
     out = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -190,20 +191,22 @@ def member_space(fan: Fan, radius: int) -> MemberSpace:
     Z*chi the coefficients of the two wall components must have equal sums.
     """
     exps = tuple(box_points(fan.rank, radius))
-    index = {e: k for k, e in enumerate(exps)}
     block = len(exps)
-    rows = []
-    for w in walls(fan):
-        classes = {}
-        for e in exps:
-            classes.setdefault(_canonical_rep(e, w.character), []).append(e)
-        for members in classes.values():
-            row = {}
-            for e in members:
-                row[w.left * block + index[e]] = 1
-                row[w.right * block + index[e]] = -1
-            rows.append(row)
-    basis = sparse_kernel_basis(block * len(fan.max_cones), rows)
+
+    def rows():
+        # generated, so the kernel holds the system once, by columns
+        for w in walls(fan):
+            classes = {}
+            for k, e in enumerate(exps):
+                classes.setdefault(_canonical_rep(e, w.character), []).append(k)
+            for members in classes.values():
+                row = {}
+                for k in members:
+                    row[w.left * block + k] = 1
+                    row[w.right * block + k] = -1
+                yield row
+
+    basis = sparse_kernel_basis(block * len(fan.max_cones), rows())
     return MemberSpace(fan=fan, radius=radius, exps=exps, basis=tuple(basis))
 
 
@@ -264,26 +267,50 @@ class KRankReport:
 
 def _augmentation_ideal_rank(fan: Fan, space: MemberSpace, inner: MemberSpace) -> int:
     """Rank of the span of (e^u - 1) * t for t in the inner member lattice
-    and u running over the radius-1 box, inside the outer box."""
+    and u running over the radius-1 box, inside the outer box.
+
+    Only the rank is needed, so the products go in sparsest first (ties in
+    shift order, then basis order), with column k of the outer space mapped
+    to column n_cols - 1 - k so the last column leads.  A first pass builds
+    each product once and files its index under its length, in a C array;
+    the second pass rebuilds the products length by length.  So neither
+    the products nor one Python int per product are ever held at once.
+    """
     index = {e: k for k, e in enumerate(space.exps)}
-    block = space.block
+    last = space.block * len(fan.max_cones) - 1
+    n_basis = len(inner.basis)
+
+    def columns(u) -> array:
+        # outer column (last one first) of each inner position times e^u
+        out = array("I")
+        for pos in range(inner.block * len(fan.max_cones)):
+            cone, k = divmod(pos, inner.block)
+            target = tuple(a + d for a, d in zip(inner.exps[k], u))
+            out.append(last - (cone * space.block + index[target]))
+        return out
+
+    origin = columns((0,) * fan.rank)
+    shifted = [columns(u) for u in box_points(fan.rank, 1) if any(u)]
+
+    def product(k: int) -> dict:
+        to = shifted[k // n_basis]
+        vec = {}
+        for pos, x in inner.basis[k % n_basis].items():
+            for key, y in ((to[pos], x), (origin[pos], -x)):
+                v = vec.get(key, 0) + y
+                if v:
+                    vec[key] = v
+                else:
+                    vec.pop(key, None)
+        return vec
+
+    by_length = {}
+    for k in range(len(shifted) * n_basis):
+        by_length.setdefault(len(product(k)), array("I")).append(k)
     lat = RowLattice()
-    shifts = [u for u in box_points(fan.rank, 1) if any(u)]
-    for u in shifts:
-        for b in inner.basis:
-            vec = {}
-            for pos, x in b.items():
-                cone = pos // inner.block
-                exp = inner.exps[pos % inner.block]
-                shifted = tuple(a + d for a, d in zip(exp, u))
-                for target, sign in ((shifted, 1), (exp, -1)):
-                    key = cone * block + index[target]
-                    v = vec.get(key, 0) + sign * x
-                    if v:
-                        vec[key] = v
-                    else:
-                        vec.pop(key, None)
-            lat.insert(vec)
+    for length in sorted(by_length):
+        for k in by_length[length]:
+            lat.insert(product(k))
     return lat.rank
 
 

@@ -331,7 +331,8 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
 
     Uses lexicographic leading-term division; candidate quotient exponents
     are confined to the coordinate box forced by Newton polytopes, which
-    bounds the loop and makes failure detection exact.
+    bounds the loop and makes failure detection exact.  The remainder is
+    one working dict that each step subtracts c * e^t * g from in place.
     """
     if f.rank != g.rank:
         raise ValueError("mismatched ambient lattices")
@@ -350,11 +351,11 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
             return None
     ug = max(g.terms)
     cg = g.terms[ug]
-    r = f
+    r = dict(f.terms)
     out = {}
-    while not r.is_zero():
-        ur = max(r.terms)
-        cr = r.terms[ur]
+    while r:
+        ur = max(r)
+        cr = r[ur]
         if cr % cg:
             return None
         tu = tuple(a - b for a, b in zip(ur, ug))
@@ -362,7 +363,13 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
             return None
         c = cr // cg
         out[tu] = c
-        r = r - (g * LaurentPoly.monomial(tu, c))
+        for eg, x in g.terms.items():
+            exp = tuple(a + b for a, b in zip(eg, tu))
+            v = r.get(exp, 0) - c * x
+            if v:
+                r[exp] = v
+            else:
+                del r[exp]
     return LaurentPoly(f.rank, out)
 
 

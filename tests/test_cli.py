@@ -35,6 +35,21 @@ def test_exit_code_contract(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    # validation reports are dicts; the message must still be text
+    (["complete", '{"rank":2,"rays":[[1,0],[0,1],[1,1]],"max_cones":[[0,1],[0,2]]}'],
+     "overlapping_interiors"),
+    (["crosscheck", "--hirzebruch", "-1"], "nonnegative"),
+    (["bundle", '{"fiber":"p2","base":{"kind":"trivial","char_rank":1}}'],
+     "character rank"),
+], ids=["invalid-fan", "negative-twist", "fiber-rank-mismatch"])
+def test_malformed_input_exits_2_with_message(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_cellular_report(capsys):
     code, rep, err = run_json(capsys, ["cellular", "p112", "--v", "2,1"])
     assert code == 0

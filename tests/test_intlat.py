@@ -316,3 +316,199 @@ def test_sparse_kernel_matches_dense():
         assert a.rank == b.rank
         for j in range(dense.cols):
             assert b.contains(dense.column(j))
+
+
+# --- oracle: the copy-per-step RowLattice elimination, frozen -----------------
+#
+# The library reduces rows in place; this is the earlier formulation that
+# builds a new dict for every row operation.  Both must give the same
+# pivots, entry for entry and in the same key order.
+
+
+def _oracle_row_sub(r: dict, f: int, p: dict) -> dict:
+    if not f:
+        return dict(r)
+    out = dict(r)
+    for c, x in p.items():
+        v = out.get(c, 0) - f * x
+        if v:
+            out[c] = v
+        else:
+            out.pop(c, None)
+    return out
+
+
+def _oracle_row_comb(s: int, p: dict, t: int, r: dict) -> dict:
+    out = {}
+    for c, x in p.items():
+        v = s * x
+        if v:
+            out[c] = v
+    for c, x in r.items():
+        v = out.get(c, 0) + t * x
+        if v:
+            out[c] = v
+        else:
+            out.pop(c, None)
+    return out
+
+
+def _oracle_ext_gcd(a: int, b: int) -> tuple:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+class OracleRowLattice:
+    def __init__(self):
+        self.pivots = {}
+        self.gcd_steps = 0
+
+    def insert(self, row) -> bool:
+        before = len(self.pivots)
+        stack = [RowLattice._sparse(row)]
+        while stack:
+            r = stack.pop()
+            while r:
+                c = min(r)
+                piv = self.pivots.get(c)
+                if piv is None:
+                    if r[c] < 0:
+                        r = {k: -v for k, v in r.items()}
+                    self.pivots[c] = r
+                    r = None
+                    break
+                a, b = piv[c], r[c]
+                if b % a == 0:
+                    r = _oracle_row_sub(r, b // a, piv)
+                else:
+                    self.gcd_steps += 1
+                    g, s, t = _oracle_ext_gcd(a, b)
+                    new = _oracle_row_comb(s, piv, t, r)
+                    rem = _oracle_row_sub(piv, a // g, new)
+                    r = _oracle_row_sub(r, b // g, new)
+                    self.pivots[c] = new
+                    if rem:
+                        stack.append(rem)
+        return len(self.pivots) > before
+
+    def contains(self, row) -> bool:
+        r = RowLattice._sparse(row)
+        while r:
+            c = min(r)
+            piv = self.pivots.get(c)
+            if piv is None or r[c] % piv[c]:
+                return False
+            r = _oracle_row_sub(r, r[c] // piv[c], piv)
+        return True
+
+
+def _oracle_kernel(n_cols: int, rows) -> list:
+    rows = [RowLattice._sparse(r) for r in rows]
+    n_rows = len(rows)
+    lat = OracleRowLattice()
+    for i in range(n_cols):
+        vec = {j: row[i] for j, row in enumerate(rows) if row.get(i, 0)}
+        vec[n_rows + i] = 1
+        lat.insert(vec)
+    return [{k - n_rows: v for k, v in lat.pivots[c].items()}
+            for c in sorted(lat.pivots) if c >= n_rows]
+
+
+def _layout(pivots: dict) -> list:
+    """Pivots with their key order, so dict order differences show."""
+    return [(c, list(p.items())) for c, p in pivots.items()]
+
+
+def _random_sparse_row(rng, n_cols: int, big: bool) -> dict:
+    row = {}
+    for c in rng.sample(range(n_cols), rng.randint(1, min(6, n_cols))):
+        if big and rng.random() < 0.4:
+            x = rng.choice((-1, 1)) * rng.randint(2 ** 64, 2 ** 70)
+        else:
+            x = rng.choice((-7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7))
+        row[c] = x
+    return row
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["small", "above-2**64"])
+def test_row_lattice_matches_oracle(big):
+    rng = random.Random(41 if big else 40)
+    gcd_steps = 0
+    for _ in range(60):
+        n_cols = rng.randint(2, 12)
+        lat, oracle = RowLattice(), OracleRowLattice()
+        for _ in range(rng.randint(1, 3 * n_cols)):
+            row = _random_sparse_row(rng, n_cols, big)
+            assert lat.insert(row) == oracle.insert(row)
+            assert _layout(lat.pivots) == _layout(oracle.pivots)
+        for _ in range(10):
+            probe = _random_sparse_row(rng, n_cols, big)
+            assert lat.contains(probe) == oracle.contains(probe)
+            member = {}
+            for p in oracle.pivots.values():
+                f = rng.randint(-3, 3)
+                for c, x in p.items():
+                    member[c] = member.get(c, 0) + f * x
+            assert lat.contains(member) and oracle.contains(member)
+        gcd_steps += oracle.gcd_steps
+    assert gcd_steps > 100  # the gcd branch is exercised, not just exact steps
+
+
+def test_row_lattice_never_mutates_rows():
+    rng = random.Random(42)
+    lat = RowLattice()
+    handed_out = []
+    for _ in range(200):
+        row = _random_sparse_row(rng, 10, big=False)
+        frozen = dict(row)
+        lat.insert(row)
+        assert row == frozen and list(row) == list(frozen)
+        lat.contains(row)
+        assert row == frozen
+        for p in lat.pivots.values():
+            assert p is not row
+        handed_out.extend((p, list(p.items())) for p in lat.pivots.values())
+        for p, items in handed_out:
+            assert list(p.items()) == items
+
+
+def _member_rows(fan, radius: int) -> tuple:
+    """The wall-congruence system of the box-truncated member space."""
+    from kfan.fan import walls
+    from kfan.laurent import box_points, coset_rep
+
+    exps = box_points(fan.rank, radius)
+    block = len(exps)
+    rows = []
+    for w in walls(fan):
+        classes = {}
+        for k, e in enumerate(exps):
+            classes.setdefault(coset_rep(e, w.character), []).append(k)
+        for members in classes.values():
+            row = {}
+            for k in members:
+                row[w.left * block + k] = 1
+                row[w.right * block + k] = -1
+            rows.append(row)
+    return block * len(fan.max_cones), rows
+
+
+def test_sparse_kernel_matches_oracle_on_p3_member_system():
+    from kfan.fan import Fan
+
+    rays = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+    p3 = Fan(rank=3, rays=rays, max_cones=((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+    n_cols, rows = _member_rows(p3, 2)
+    got = sparse_kernel_basis(n_cols, rows)
+    want = _oracle_kernel(n_cols, rows)
+    assert len(got) == len(want) > 0
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]

@@ -281,3 +281,23 @@ def test_element_serialization_roundtrip():
         element_from_obj(fan, [[], []])
     with pytest.raises(ValueError):
         element_from_obj(fan, "nope")
+
+
+def test_ordinary_k_rank_histories_frozen_rank_three():
+    # the ideal rank inserts its products in its own order; the estimates
+    # (radius, member_dim, ideal_rank, estimate) must not move
+    from kfan.fan import Fan
+
+    p3 = Fan(rank=3, rays=((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+             max_cones=((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)), name="P3")
+    cube = Fan(rank=3,
+               rays=((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+               max_cones=tuple((a, 2 + b, 4 + c) for a in (0, 1) for b in (0, 1)
+                               for c in (0, 1)),
+               name="P1xP1xP1")
+    rep = ordinary_k_rank(p3)
+    assert rep.history == ((1, 51, 26, 25), (2, 317, 313, 4), (3, 991, 987, 4))
+    assert (rep.rank, rep.stabilized_at, rep.conclusive) == (4, 3, True)
+    rep = ordinary_k_rank(cube)
+    assert rep.history == ((1, 125, 26, 99), (2, 729, 721, 8), (3, 2197, 2189, 8))
+    assert (rep.rank, rep.stabilized_at, rep.conclusive) == (8, 3, True)

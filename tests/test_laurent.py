@@ -206,6 +206,67 @@ def test_exact_divide_random_products():
             assert exact_divide(g * h + 1, g) is None
 
 
+def oracle_exact_divide(f: LaurentPoly, g: LaurentPoly):
+    """Leading-term division that builds a new polynomial at every step,
+    frozen as an oracle for the in-place exact_divide."""
+    if f.is_zero():
+        return LaurentPoly.zero(f.rank)
+    lo, hi = [], []
+    for d in range(f.rank):
+        f_coords = [e[d] for e in f.terms]
+        g_coords = [e[d] for e in g.terms]
+        lo.append(min(f_coords) - min(g_coords))
+        hi.append(max(f_coords) - max(g_coords))
+        if lo[-1] > hi[-1]:
+            return None
+    ug = max(g.terms)
+    cg = g.terms[ug]
+    r = f
+    out = {}
+    while not r.is_zero():
+        ur = max(r.terms)
+        cr = r.terms[ur]
+        if cr % cg:
+            return None
+        tu = tuple(a - b for a, b in zip(ur, ug))
+        if any(t < a or t > b for t, a, b in zip(tu, lo, hi)):
+            return None
+        c = cr // cg
+        out[tu] = c
+        r = r - (g * LaurentPoly.monomial(tu, c))
+    return LaurentPoly(f.rank, out)
+
+
+def test_exact_divide_matches_oracle():
+    rng = random.Random(23)
+    outcomes = {"quotient": 0, "none": 0}
+    for trial in range(400):
+        rank = rng.randint(1, 3)
+        g = random_poly(rng, rank, n_terms=5, allow_zero=False)
+        while g.is_zero():
+            g = random_poly(rng, rank, n_terms=5, allow_zero=False)
+        if trial % 4 == 3:
+            # a leading coefficient that rarely divides the dividend's
+            g = g + LaurentPoly.monomial(tuple([4] * rank), rng.choice((2, 3, -2, -3)))
+        h = random_poly(rng, rank, n_terms=5)
+        f = g * h
+        kind = trial % 3
+        if kind == 1:
+            f = f + LaurentPoly.monomial(tuple(rng.randint(-3, 3) for _ in range(rank)),
+                                         rng.randint(1, 3))
+        elif kind == 2:
+            f = random_poly(rng, rank, n_terms=6)
+        got = exact_divide(f, g)
+        want = oracle_exact_divide(f, g)
+        if want is None:
+            assert got is None
+            outcomes["none"] += 1
+        else:
+            assert got == want and list(got.terms) == list(want.terms)
+            outcomes["quotient"] += 1
+    assert min(outcomes.values()) > 50
+
+
 def test_divides_agrees_with_wall_restriction():
     # membership in (1 - e^chi) for a wall character is exactly vanishing
     # of the restriction to the wall face
