@@ -23,6 +23,7 @@ from .intlat import IntMatrix, solve_integer
 from .kring import is_smooth_fan
 from .laurent import (
     LaurentPoly,
+    box_index,
     box_points,
     coset_rep,
     divides,
@@ -55,12 +56,9 @@ class BaseRing(ABC):
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    @abstractmethod
     def scalar(self, n: int):
-        out = self.zero()
-        step = self.one() if n >= 0 else self.neg(self.one())
-        for _ in range(abs(n)):
-            out = self.add(out, step)
-        return out
+        """The integer n as an element: n times one."""
 
     @abstractmethod
     def eq(self, a, b) -> bool: ...
@@ -121,6 +119,21 @@ class BaseRing(ABC):
     def describe(self) -> dict: ...
 
 
+def _poly_coeffs(p: LaurentPoly, rank: int, radius: int, offset: int,
+                 out: dict) -> dict:
+    """Add the box coordinates of p, shifted by offset, to out.  Positions
+    follow box_points(rank, radius); an exponent outside the box, or of the
+    wrong length, raises."""
+    if p.terms and p.rank != rank:
+        raise ValueError("element exponent outside the box")
+    for exp, coef in p.terms.items():
+        k = box_index(exp, radius)
+        if k is None:
+            raise ValueError("element exponent outside the box")
+        out[offset + k] = coef
+    return out
+
+
 class PointBase(BaseRing):
     """Integers: the base is a point with trivial character action, so the
     wall congruence collapses to equality."""
@@ -133,6 +146,9 @@ class PointBase(BaseRing):
 
     def one(self):
         return 1
+
+    def scalar(self, n):
+        return n
 
     def add(self, a, b):
         return a + b
@@ -206,6 +222,9 @@ class TrivialBase(BaseRing):
     def one(self):
         return LaurentPoly.one(self.char_rank)
 
+    def scalar(self, n):
+        return LaurentPoly.constant(self.char_rank, n)
+
     def add(self, a, b):
         return a + b
 
@@ -238,14 +257,7 @@ class TrivialBase(BaseRing):
         return [LaurentPoly.monomial(u) for u in box_points(self.char_rank, radius)]
 
     def coeff_vector(self, a, radius):
-        exps = box_points(self.char_rank, radius)
-        index = {e: k for k, e in enumerate(exps)}
-        out = {}
-        for exp, coef in a.terms.items():
-            if exp not in index:
-                raise ValueError("element exponent outside the box")
-            out[index[exp]] = coef
-        return out
+        return _poly_coeffs(a, self.char_rank, radius, 0, {})
 
     def coeff_dim(self, radius):
         return (2 * radius + 1) ** self.char_rank
@@ -320,8 +332,11 @@ class ToricBase(BaseRing):
         return tuple([z] * len(self.fan.max_cones))
 
     def one(self):
-        o = LaurentPoly.one(self.coeff_rank)
-        return tuple([o] * len(self.fan.max_cones))
+        return self.scalar(1)
+
+    def scalar(self, n):
+        c = LaurentPoly.constant(self.coeff_rank, n)
+        return tuple([c] * len(self.fan.max_cones))
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -459,15 +474,10 @@ class ToricBase(BaseRing):
         return out
 
     def coeff_vector(self, a, radius):
-        exps = box_points(self.coeff_rank, radius)
-        index = {e: k for k, e in enumerate(exps)}
-        block = len(exps)
+        block = (2 * radius + 1) ** self.coeff_rank
         out = {}
         for k, comp in enumerate(a):
-            for exp, coef in comp.terms.items():
-                if exp not in index:
-                    raise ValueError("element exponent outside the box")
-                out[k * block + index[exp]] = coef
+            _poly_coeffs(comp, self.coeff_rank, radius, k * block, out)
         return out
 
     def coeff_dim(self, radius):
@@ -591,6 +601,9 @@ class FlagBase(BaseRing):
     def one(self):
         return LaurentPoly.one(self.rank)
 
+    def scalar(self, n):
+        return LaurentPoly.constant(self.rank, n)
+
     def add(self, a, b):
         return a + b
 
@@ -651,14 +664,7 @@ class FlagBase(BaseRing):
         return out
 
     def coeff_vector(self, a, radius):
-        exps = box_points(self.rank, radius)
-        index = {e: k for k, e in enumerate(exps)}
-        out = {}
-        for exp, coef in a.terms.items():
-            if exp not in index:
-                raise ValueError("element exponent outside the box")
-            out[index[exp]] = coef
-        return out
+        return _poly_coeffs(a, self.rank, radius, 0, {})
 
     def coeff_dim(self, radius):
         return (2 * radius + 1) ** self.rank
@@ -802,6 +808,9 @@ class CharRemap(BaseRing):
 
     def one(self):
         return self.inner.one()
+
+    def scalar(self, n):
+        return self.inner.scalar(n)
 
     def add(self, a, b):
         return self.inner.add(a, b)

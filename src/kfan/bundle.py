@@ -276,7 +276,15 @@ def extended_box_rank(fan: Fan, base: BaseRing, max_radius: int = 3,
     For each box the ideal is spanned by (scalar minus its augmentation)
     times a padded member lattice; the estimate is rank(members + ideal) -
     rank(ideal), which subtracts exactly the members caught in the ideal
-    span.  Padding grows until the estimate plateaus."""
+    span.  Padding grows until the estimate plateaus.
+
+    The ideal part of step (d, pad) depends only on big = d + pad, so its
+    lattice is echeloned once per big, from the products
+    coeffs(s*t) - aug*coeffs(t) over the cofactor rows t of the radius-big
+    members.  Each step inserts the radius-d members into a copy() of that
+    lattice, which leaves the shared one untouched; when d advances, the
+    lattices and member spaces with radius below d are dropped, as no later
+    step reads them."""
     _validate_pair(fan, base)
     spaces = {}
 
@@ -286,27 +294,49 @@ def extended_box_rank(fan: Fan, base: BaseRing, max_radius: int = 3,
         return spaces[r]
 
     k_s = base.scalar_radius
-    scal = [(s, base.augmentation(s)) for s in base.scalars(k_s)] if k_s else []
-    history = []
-    prev = None
-    for d in range(1, max_radius + 1):
-        est = None
-        prev_pad_est = None
-        for pad in range(pad_limit + 1):
-            big = d + pad
+    scal = [(diagonal(fan, base, s), base.augmentation(s))
+            for s in base.scalars(k_s)] if k_s else []
+    ideals = {}
+
+    def ideal(big: int) -> RowLattice:
+        if big not in ideals:
             coeff_radius = big + k_s
             lat = RowLattice()
             cof = space(big)
             for row in cof.basis:
                 t = cof.to_element(row)
+                ct = element_coeffs(t, coeff_radius)
                 for s, aug in scal:
-                    prod = diagonal(fan, base, s) * t - aug * t
-                    if prod.is_zero():
-                        continue
-                    lat.insert(element_coeffs(prod, coeff_radius))
-            ideal_rank = lat.rank
-            for row in space(d).basis:
-                lat.insert(element_coeffs(space(d).to_element(row), coeff_radius))
+                    vec = element_coeffs(s * t, coeff_radius)
+                    for pos, x in ct.items():
+                        v = vec.get(pos, 0) - aug * x
+                        if v:
+                            vec[pos] = v
+                        else:
+                            del vec[pos]
+                    if vec:
+                        lat.insert(vec)
+            ideals[big] = lat
+        return ideals[big]
+
+    history = []
+    prev = None
+    for d in range(1, max_radius + 1):
+        for cache in (ideals, spaces):
+            for r in [r for r in cache if r < d]:
+                del cache[r]
+        members = space(d)
+        member_elems = [members.to_element(row) for row in members.basis]
+        est = None
+        prev_pad_est = None
+        for pad in range(pad_limit + 1):
+            big = d + pad
+            coeff_radius = big + k_s
+            ideal_lat = ideal(big)
+            ideal_rank = ideal_lat.rank
+            lat = ideal_lat.copy()
+            for e in member_elems:
+                lat.insert(element_coeffs(e, coeff_radius))
             now = lat.rank - ideal_rank
             if now == prev_pad_est:
                 est = now
@@ -314,7 +344,7 @@ def extended_box_rank(fan: Fan, base: BaseRing, max_radius: int = 3,
             prev_pad_est = now
         if est is None:
             est = prev_pad_est
-        history.append((d, space(d).dim, est))
+        history.append((d, members.dim, est))
         if prev is not None and est == prev:
             return ExtendedRankReport(rank=est, stabilized_at=d,
                                       conclusive=True, history=tuple(history))

@@ -472,12 +472,22 @@ class RowLattice:
     fresh compact dict.  Neither the caller's row nor any dict already
     stored in `pivots` is ever mutated; the gcd branch replaces a pivot by a
     new dict instead of editing it, so rows read out of `pivots` stay valid.
+
+    That is also what makes copy() cheap: it copies the `pivots` mapping
+    but shares the stored rows, and inserting into either lattice later
+    leaves the other one's pivots and rank as they were.
     """
 
     __slots__ = ("pivots",)
 
     def __init__(self):
         self.pivots = {}
+
+    def copy(self) -> "RowLattice":
+        """An independent lattice with the same echelon basis."""
+        new = RowLattice()
+        new.pivots = dict(self.pivots)
+        return new
 
     @property
     def rank(self) -> int:

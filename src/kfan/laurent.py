@@ -41,6 +41,17 @@ class LaurentPoly:
         self.terms = clean
 
     @classmethod
+    def _raw(cls, rank: int, terms: dict) -> "LaurentPoly":
+        """Wrap terms without validation.  Precondition: `terms` is already
+        clean, i.e. every key is a tuple of `rank` ints and every value a
+        nonzero int, and the dict is not shared with anything else.  Only
+        arithmetic that builds such a dict itself may call this."""
+        p = object.__new__(cls)
+        p.rank = rank
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, rank: int) -> "LaurentPoly":
         return cls(rank, {})
 
@@ -80,12 +91,12 @@ class LaurentPoly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return LaurentPoly(self.rank, out)
+        return LaurentPoly._raw(self.rank, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.rank, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._raw(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -97,7 +108,9 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly(self.rank, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return LaurentPoly._raw(self.rank, {})
+            return LaurentPoly._raw(self.rank, {e: c * other for e, c in self.terms.items()})
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
@@ -108,7 +121,7 @@ class LaurentPoly:
                     out[exp] = s
                 else:
                     del out[exp]
-        return LaurentPoly(self.rank, out)
+        return LaurentPoly._raw(self.rank, out)
 
     __rmul__ = __mul__
 
@@ -323,7 +336,7 @@ def divides(f: LaurentPoly, chi: Sequence[int]) -> tuple:
             running += coeffs.get(k, 0)
             if running:
                 quotient[tuple(r + k * c for r, c in zip(rep, chi))] = running
-    return True, LaurentPoly(f.rank, quotient)
+    return True, LaurentPoly._raw(f.rank, quotient)
 
 
 def exact_divide(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
@@ -370,7 +383,7 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> Optional[LaurentPoly]:
                 r[exp] = v
             else:
                 del r[exp]
-    return LaurentPoly(f.rank, out)
+    return LaurentPoly._raw(f.rank, out)
 
 
 # --- serialization and boxes --------------------------------------------------
@@ -406,3 +419,17 @@ def poly_from_obj(rank: int, obj) -> LaurentPoly:
 def box_points(rank: int, radius: int) -> list:
     """All exponent vectors with coordinates in [-radius, radius], sorted."""
     return sorted(itertools.product(range(-radius, radius + 1), repeat=rank))
+
+
+def box_index(exp: Sequence[int], radius: int) -> Optional[int]:
+    """Position of exp in box_points(len(exp), radius), or None when exp
+    lies outside the box.  The sorted box is the lexicographic product
+    order, so the position is exp + radius read in base 2*radius + 1."""
+    side = 2 * radius + 1
+    k = 0
+    for x in exp:
+        x += radius
+        if x < 0 or x >= side:
+            return None
+        k = k * side + x
+    return k

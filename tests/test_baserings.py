@@ -19,6 +19,7 @@ from kfan.kring import member_space
 from kfan.laurent import LaurentPoly, box_points, poly_to_obj
 
 A2 = [[2, -1], [-1, 2]]
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 
 
 def rand_poly(rng, rank, radius=1, terms=3):
@@ -346,3 +347,61 @@ def test_char_remap_rejects_unfixed_columns():
         CharRemap(inner, [(1, 0)])
     with pytest.raises(ValueError):
         CharRemap(inner, [(0, 1, 2)])
+
+
+# --- shared behaviour ------------------------------------------------------------
+
+
+def _bases():
+    return (PointBase(char_rank=1), TrivialBase(2),
+            ToricBase(p1(), coeff_rank=2, line_data=[[(0, 1), (1, 1)]]),
+            FlagBase(A2, [0]), CharRemap(FlagBase(A2, [0]), [(0, 1)]))
+
+
+def test_scalar_is_closed_form():
+    big = 10 ** 30
+    for ring in _bases():
+        for n in range(-3, 4):
+            summed = ring.zero()
+            for _ in range(abs(n)):
+                summed = ring.add(summed, ring.one() if n > 0 else ring.neg(ring.one()))
+            assert ring.eq(ring.scalar(n), summed)
+        assert ring.augmentation(ring.scalar(big)) == big
+    assert PointBase().scalar(big) == big
+    assert TrivialBase(2).scalar(big) == LaurentPoly.constant(2, big)
+    assert FlagBase(A2, [0]).scalar(-big) == LaurentPoly.constant(2, -big)
+    toric = ToricBase(p1(), coeff_rank=2, line_data=[[(0, 1), (1, 1)]])
+    assert toric.scalar(big) == (LaurentPoly.constant(2, big),) * 2
+    assert CharRemap(FlagBase(A2, [0]), [(0, 1)]).scalar(big) == \
+        LaurentPoly.constant(2, big)
+
+
+def test_coeff_vector_positions_follow_box_points():
+    rng = random.Random(5)
+    for ring, rank in ((TrivialBase(3), 3), (FlagBase(A3, []), 3)):
+        for radius in (1, 2):
+            pts = box_points(rank, radius)
+            f = rand_poly(rng, rank, radius=radius, terms=6)
+            assert ring.coeff_vector(f, radius) == {
+                pts.index(e): c for e, c in f.terms.items()}
+    toric = ToricBase(p1(), coeff_rank=2, line_data=[[(0, 1), (1, 1)]])
+    pts = box_points(2, 2)
+    a = (rand_poly(rng, 2, radius=2), rand_poly(rng, 2, radius=1))
+    expected = {k * len(pts) + pts.index(e): c
+                for k, comp in enumerate(a) for e, c in comp.terms.items()}
+    assert toric.coeff_vector(a, 2) == expected
+
+
+def test_coeff_vector_rejects_exponents_outside_the_box():
+    msg = "element exponent outside the box"
+    far = LaurentPoly.monomial((2, 0))
+    with pytest.raises(ValueError, match=msg):
+        TrivialBase(2).coeff_vector(far + 1, 1)
+    with pytest.raises(ValueError, match=msg):
+        FlagBase(A2, []).coeff_vector(far, 1)
+    toric = ToricBase(p1(), coeff_rank=2, line_data=[[(0, 1), (1, 1)]])
+    with pytest.raises(ValueError, match=msg):
+        toric.coeff_vector((LaurentPoly.one(2), far), 1)
+    # an exponent of the wrong length is not in the box either
+    with pytest.raises(ValueError, match=msg):
+        TrivialBase(2).coeff_vector(LaurentPoly.monomial((0, 0, 0)), 1)

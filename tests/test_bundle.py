@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kfan.baserings import PointBase, TrivialBase
+from kfan.baserings import PointBase, ToricBase, TrivialBase
 from kfan.bundle import (
     ExtendedElement,
     bundle_presentation,
@@ -145,6 +145,37 @@ def test_extended_rank_trivial_base():
     assert rep.conclusive and rep.rank == 2
     rep = extended_box_rank(p2(), TrivialBase(2), max_radius=3)
     assert rep.conclusive and rep.rank == 3
+
+
+# Frozen outputs, conclusive F5/F6 = 3 included: the true rank of every F_a
+# is 4, so those two verdicts are known to be wrong.  Speed work must keep
+# them bit for bit; fixing the stopping rule is a separate change.
+HIRZEBRUCH_HISTORIES = {
+    0: ((1, 25, 4), (2, 81, 4)),
+    1: ((1, 23, 4), (2, 77, 4)),
+    2: ((1, 21, 4), (2, 73, 4)),
+    3: ((1, 19, 3), (2, 69, 4), (3, 151, 4)),
+    4: ((1, 19, 3), (2, 65, 4), (3, 145, 4)),
+    5: ((1, 19, 3), (2, 61, 3)),
+    6: ((1, 19, 3), (2, 61, 3)),
+}
+
+
+@pytest.mark.parametrize("a", sorted(HIRZEBRUCH_HISTORIES))
+def test_extended_rank_histories_frozen(a):
+    rep = extended_box_rank(*hirzebruch_fiber_base(a))
+    history = HIRZEBRUCH_HISTORIES[a]
+    assert rep.history == history
+    assert rep.conclusive and rep.rank == history[-1][2]
+    assert rep.stabilized_at == len(history)
+
+
+def test_kunneth_probe_frozen_over_p1xp1():
+    base = ToricBase(p1xp1(), 3, [[(0, 0, 1)] * 4])
+    rep = kunneth_surjectivity_probe(p1(), base, seed=0)
+    assert rep["tensors"] == 3645
+    assert rep["lattice_rank"] == 1377
+    assert rep["all_hit"], rep
 
 
 def test_kunneth_probe_all_hit():

@@ -23,6 +23,7 @@ from kfan.horo import (
 from kfan.laurent import LaurentPoly
 
 A2 = [[2, -1], [-1, 2]]
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 
 
 def rand_poly(rng, rank, radius=1, terms=3, bound=3):
@@ -56,6 +57,20 @@ def test_sl2_rank_frozen():
     assert rep.conclusive
     assert rep.rank == 4
     assert rep.history[0][:2] == (1, 5)
+
+
+@pytest.mark.parametrize("datum, history", [
+    (sl2_basic_datum(), ((1, 5, 4), (2, 9, 4))),
+    (sl3_datum(), ((1, 8, 6), (2, 21, 6))),
+    (HorosphericalDatum.make(A3, [0, 2], p1(), [(0, 1, 0)]),
+     ((1, 12, 9), (2, 45, 12), (3, 112, 12))),
+    (HorosphericalDatum.make(A3, [1, 2], p1(), [(1, 0, 0)]),
+     ((1, 11, 8), (2, 38, 8))),
+], ids=["sl2", "sl3", "A3{0,2}w2", "A3{1,2}w1"])
+def test_rank_histories_frozen(datum, history):
+    rep = horo_rank(datum)
+    assert rep.history == history
+    assert rep.conclusive and rep.rank == history[-1][2]
 
 
 def test_sl2_presentation():

@@ -481,6 +481,30 @@ def test_row_lattice_never_mutates_rows():
             assert list(p.items()) == items
 
 
+def test_row_lattice_copy_is_independent():
+    rng = random.Random(8)
+    first = [_random_sparse_row(rng, 10, big=False) for _ in range(12)]
+    later = [_random_sparse_row(rng, 14, big=True) for _ in range(40)]
+    lat = RowLattice()
+    for row in first:
+        lat.insert(row)
+    frozen = {c: dict(p) for c, p in lat.pivots.items()}
+    rank = lat.rank
+    twin = lat.copy()
+    for row in later:
+        twin.insert(row)
+    assert twin.rank > rank
+    assert lat.rank == rank and lat.pivots == frozen
+    # the copy echelons exactly as one lattice fed every row in order would
+    fresh = RowLattice()
+    for row in first + later:
+        fresh.insert(row)
+    assert twin.pivots == fresh.pivots
+    # and inserting into the original leaves the copy alone
+    lat.insert({13: 1})
+    assert lat.rank == rank + 1 and twin.pivots == fresh.pivots
+
+
 def _member_rows(fan, radius: int) -> tuple:
     """The wall-congruence system of the box-truncated member space."""
     from kfan.fan import walls

@@ -7,6 +7,7 @@ from kfan.fan import Cone, walls
 from kfan.laurent import (
     LaurentPoly,
     augmentation,
+    box_index,
     box_points,
     divides,
     euler_class,
@@ -309,3 +310,16 @@ def test_box_points():
     assert pts == sorted(pts)
     assert (0, 0) in pts
     assert box_points(1, 0) == [(0,)]
+
+
+def test_box_index_matches_sorted_box():
+    for rank in (1, 2, 3):
+        for r in range(4):
+            pts = box_points(rank, r)
+            for exp in pts:
+                assert box_index(exp, r) == pts.index(exp)
+                # one step outside the box along any coordinate
+                for i in range(rank):
+                    for step in (r + 1, -r - 1):
+                        out = exp[:i] + (step,) + exp[i + 1:]
+                        assert box_index(out, r) is None
