@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 from .cellular import check_cellular
 from .fan import Fan, walls
-from .intlat import IntMatrix, solve_integer
-from .kring import is_smooth_fan
+from .intlat import IntMatrix, RowLattice, solve_integer
+from .kring import is_smooth_fan, wall_kernel
 from .laurent import (
     LaurentPoly,
     box_index,
@@ -444,29 +444,11 @@ class ToricBase(BaseRing):
     def augmentation(self, a):
         return sum(a[0].terms.values())
 
-    def _member_vectors(self, radius):
-        from .intlat import sparse_kernel_basis
-
-        exps = box_points(self.coeff_rank, radius)
-        index = {e: k for k, e in enumerate(exps)}
-        block = len(exps)
-        rows = []
-        for l, r, chi in self._wall_chars():
-            classes = {}
-            for e in exps:
-                classes.setdefault(coset_rep(e, chi), []).append(e)
-            for members in classes.values():
-                row = {}
-                for e in members:
-                    row[l * block + index[e]] = 1
-                    row[r * block + index[e]] = -1
-                rows.append(row)
-        return exps, block, sparse_kernel_basis(block * len(self.fan.max_cones), rows)
-
     def box_basis(self, radius):
-        exps, block, vecs = self._member_vectors(radius)
+        exps = box_points(self.coeff_rank, radius)
+        block = len(exps)
         out = []
-        for vec in vecs:
+        for vec in wall_kernel(len(self.fan.max_cones), self._wall_chars(), exps):
             comps = [{} for _ in self.fan.max_cones]
             for pos, x in vec.items():
                 comps[pos // block][exps[pos % block]] = x
@@ -553,28 +535,10 @@ def weyl_orbit(cartan, gens: Sequence[int], lam: Sequence[int],
 
 
 def weyl_group_order(cartan, gens: Sequence[int], guard: int = 10 ** 6) -> int:
-    """Order of the subgroup generated by the listed simple reflections,
-    enumerated as matrices acting on weight coordinates."""
-    r = len(cartan)
-    eye = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-
-    def step(mat, j):
-        return tuple(simple_reflection(cartan, j, row) for row in mat)
-
-    seen = {eye}
-    frontier = [eye]
-    while frontier:
-        nxt = []
-        for mat in frontier:
-            for j in gens:
-                new = step(mat, j)
-                if new not in seen:
-                    seen.add(new)
-                    nxt.append(new)
-                    if len(seen) > guard:
-                        raise ValueError("group enumeration exceeded the safety bound")
-        frontier = nxt
-    return len(seen)
+    """Order of the subgroup generated by the listed simple reflections:
+    the size of the orbit of rho = (1, ..., 1), which is regular, so the
+    subgroup acts freely on it."""
+    return len(weyl_orbit(cartan, gens, (1,) * len(cartan), guard))
 
 
 class FlagBase(BaseRing):
@@ -647,33 +611,12 @@ class FlagBase(BaseRing):
     def augmentation(self, a):
         return sum(a.terms.values())
 
-    def box_basis(self, radius):
-        """Orbit sums of the orbits lying entirely inside the box; these
-        span exactly the invariants supported there."""
+    def _orbit_sums(self, gens, radius) -> list:
+        """Sums over the orbits of the reflections gens that lie entirely
+        inside the box; these span exactly the gens-invariants supported
+        there."""
         pts = box_points(self.rank, radius)
         inside = set(pts)
-        out = []
-        seen = set()
-        for lam in pts:
-            if lam in seen:
-                continue
-            orbit = weyl_orbit(self.cartan, self.parabolic_set, lam)
-            seen.update(orbit)
-            if all(mu in inside for mu in orbit):
-                out.append(LaurentPoly(self.rank, {mu: 1 for mu in orbit}))
-        return out
-
-    def coeff_vector(self, a, radius):
-        return _poly_coeffs(a, self.rank, radius, 0, {})
-
-    def coeff_dim(self, radius):
-        return (2 * radius + 1) ** self.rank
-
-    def scalars(self, radius):
-        # full-group invariants, whatever the parabolic set
-        pts = box_points(self.rank, radius)
-        inside = set(pts)
-        gens = range(self.rank)
         out = []
         seen = set()
         for lam in pts:
@@ -684,6 +627,19 @@ class FlagBase(BaseRing):
             if all(mu in inside for mu in orbit):
                 out.append(LaurentPoly(self.rank, {mu: 1 for mu in orbit}))
         return out
+
+    def box_basis(self, radius):
+        return self._orbit_sums(self.parabolic_set, radius)
+
+    def coeff_vector(self, a, radius):
+        return _poly_coeffs(a, self.rank, radius, 0, {})
+
+    def coeff_dim(self, radius):
+        return (2 * radius + 1) ** self.rank
+
+    def scalars(self, radius):
+        # full-group invariants, whatever the parabolic set
+        return self._orbit_sums(range(self.rank), radius)
 
     @property
     def scalar_radius(self):
@@ -724,29 +680,21 @@ def flag_rank_probe(cartan, parabolic_set, max_radius: int = 4) -> dict:
     padding grows until that intersection rank plateaus; truncating the
     cofactors at the box itself provably undercounts already in rank two.
     """
-    from .intlat import RowLattice
-
     inv = FlagBase(cartan, parabolic_set)
-    r = len(cartan)
-    full = FlagBase(cartan, range(r))
+    r = inv.rank
     expected = (weyl_group_order(cartan, range(r)) //
                 weyl_group_order(cartan, parabolic_set))
-    # multiplier box: wide enough for every fundamental-weight orbit sum,
-    # which generate the full invariants as a ring
-    fund_radius = max(abs(x)
-                      for i in range(r)
-                      for mu in weyl_orbit(cartan, range(r),
-                                           tuple(1 if j == i else 0
-                                                 for j in range(r)))
-                      for x in mu)
-    mults = [(g, sum(g.terms.values())) for g in full.box_basis(fund_radius)]
+    # multipliers: the full invariants in the box of the fundamental-weight
+    # orbit sums, which generate them as a ring
+    k_s = inv.scalar_radius
+    mults = [(g, inv.augmentation(g)) for g in inv.scalars(k_s)]
 
     def ideal_rank_in_box(d: int) -> int:
         inside = box_points(r, d)
         inside_set = set(inside)
         prev_rank = None
         for pad in range(0, 6):
-            big = box_points(r, d + pad + fund_radius)
+            big = box_points(r, d + pad + k_s)
             col = {}
             n_out = 0
             for e in big:

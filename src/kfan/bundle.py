@@ -25,6 +25,7 @@ from .kring import (
     member_space,
     ordinary_k_rank,
     sample_members,
+    sample_vectors,
     sr_presentation,
     sr_to_plp,
     vector_to_element,
@@ -175,21 +176,8 @@ class ExtendedSpace:
 
     def sample(self, count: int, seed: int = 0, coeff_bound: int = 3,
                max_terms: int = 4) -> list:
-        rng = random.Random(seed)
-        out = []
-        for _ in range(count):
-            vec = {}
-            for _ in range(rng.randint(1, max_terms)):
-                row = rng.choice(self.basis)
-                f = rng.randint(-coeff_bound, coeff_bound)
-                for pos, x in row.items():
-                    v = vec.get(pos, 0) + f * x
-                    if v:
-                        vec[pos] = v
-                    else:
-                        vec.pop(pos, None)
-            out.append(self.to_element(vec))
-        return out
+        return [self.to_element(vec)
+                for vec in sample_vectors(self.basis, count, seed, coeff_bound, max_terms)]
 
 
 def extended_member_space(fan: Fan, base: BaseRing, radius: int,
@@ -363,10 +351,11 @@ def kunneth_surjectivity_probe(fan: Fan, base: BaseRing, base_radius: int = 2,
     tensors of box base classes with box fiber members."""
     _validate_pair(fan, base)
     fib = member_space(fan, fiber_radius)
+    base_box = base.box_basis(base_radius)
     realized = []
     for vec in fib.basis:
         p = vector_to_element(fib, vec)
-        for b in base.box_basis(base_radius):
+        for b in base_box:
             realized.append(kunneth_realize(fan, base, b, p))
     space = extended_member_space(fan, base, sample_radius)
     coeff_radius = max([sample_radius]

@@ -35,7 +35,6 @@ from .fan import Fan, fan_to_json, is_complete, parse_fan, validate_fan
 from .horo import (
     datum_from_obj,
     datum_to_obj,
-    horo_presentation,
     sl2_basic_datum,
     sl3_datum,
     validate_horo,
@@ -305,12 +304,14 @@ def _bundle_pair(spec_obj):
     return fiber, base
 
 
-def _presentation_report(fan, base, gens, cert, rels):
-    images_zero = []
-    for rel in rels:
-        img = extended_relation_image(fan, base, cert, rel)
-        images_zero.append(img.is_zero())
-    gens_member = all(extended_check(g)[0] for g in gens)
+def _presentation_report(fan, base):
+    try:
+        gens, cert, rels = bundle_presentation(fan, base)
+        images_zero = [extended_relation_image(fan, base, cert, rel).is_zero()
+                       for rel in rels]
+        gens_member = all(extended_check(g)[0] for g in gens)
+    except ValueError:
+        return None  # non-smooth fiber has no monomial presentation
     return {
         "n_generators": len(gens),
         "relations": list(rels),
@@ -321,37 +322,43 @@ def _presentation_report(fan, base, gens, cert, rels):
     }
 
 
+def _extended_report(args, fan, base, payload):
+    """The element check, box rank (at the payload's box radius) and
+    presentation of an extended ring, shared by the bundle and horo
+    reports.  Returns (result, conclusive); a checked element is recorded
+    in the payload."""
+    check = None
+    if args.element:
+        obj = _load_json(args.element)
+        try:
+            e = extended_from_obj(fan, base, obj)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+        ok, failures = extended_check(e)
+        check = {"member": ok, "failures": failures}
+        payload["element"] = obj
+    rank = extended_box_rank(fan, base, max_radius=payload["box"])
+    result = {
+        "check": check,
+        "rank": {"rank": rank.rank, "stabilized_at": rank.stabilized_at,
+                 "conclusive": rank.conclusive,
+                 "history": [list(h) for h in rank.history]},
+        "presentation": _presentation_report(fan, base),
+    }
+    return result, rank.conclusive
+
+
 def _cmd_bundle(args):
     spec_obj = _load_json(args.spec)
     fiber, base = _bundle_pair(spec_obj)
     radius = args.box if args.box is not None else 3
     payload = {"spec": spec_obj, "box": radius, "samples": args.samples}
     inputs = {"fiber": _fan_summary(fiber), "base": base.describe()}
-    result = {}
-    check = None
-    if args.element:
-        obj = _load_json(args.element)
-        try:
-            e = extended_from_obj(fiber, base, obj)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        ok, failures = extended_check(e)
-        check = {"member": ok, "failures": failures}
-        payload["element"] = obj
-    result["check"] = check
-    rank = extended_box_rank(fiber, base, max_radius=radius)
-    result["rank"] = {"rank": rank.rank, "stabilized_at": rank.stabilized_at,
-                      "conclusive": rank.conclusive,
-                      "history": [list(h) for h in rank.history]}
+    result, conclusive = _extended_report(args, fiber, base, payload)
     result["kunneth"] = kunneth_surjectivity_probe(fiber, base,
                                                    samples=args.samples,
                                                    seed=args.seed)
-    try:
-        gens, cert, rels = bundle_presentation(fiber, base)
-        result["presentation"] = _presentation_report(fiber, base, gens, cert, rels)
-    except ValueError:
-        result["presentation"] = None  # non-smooth fiber has no monomial presentation
-    return payload, inputs, result, rank.conclusive
+    return payload, inputs, result, conclusive
 
 
 def _cmd_horo(args):
@@ -373,29 +380,9 @@ def _cmd_horo(args):
     if not rep["ok"]:
         result = {"ok": False, "failures": rep["failures"]}
         return payload, inputs, result, True
-    base = rep["base"]
-    result = {"ok": True, "failures": []}
-    check = None
-    if args.element:
-        obj = _load_json(args.element)
-        try:
-            e = extended_from_obj(datum.fan, base, obj)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        ok, failures = extended_check(e)
-        check = {"member": ok, "failures": failures}
-        payload["element"] = obj
-    result["check"] = check
-    rank = extended_box_rank(datum.fan, base, max_radius=radius)
-    result["rank"] = {"rank": rank.rank, "stabilized_at": rank.stabilized_at,
-                      "conclusive": rank.conclusive,
-                      "history": [list(h) for h in rank.history]}
-    try:
-        gens, cert, rels = horo_presentation(datum)
-        result["presentation"] = _presentation_report(datum.fan, base, gens, cert, rels)
-    except ValueError:
-        result["presentation"] = None
-    return payload, inputs, result, rank.conclusive
+    result, conclusive = _extended_report(args, datum.fan, rep["base"], payload)
+    result.update(ok=True, failures=[])
+    return payload, inputs, result, conclusive
 
 
 def _cmd_crosscheck(args):

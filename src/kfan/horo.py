@@ -12,7 +12,6 @@ fixed by the parabolic reflections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .baserings import CharRemap, FlagBase, _validate_cartan
 from .bundle import (

@@ -148,9 +148,9 @@ def hermite_normal_form(m: IntMatrix) -> tuple:
 
 
 def _snf_with_inverses(m: IntMatrix) -> tuple:
-    """Smith normal form with transforms and their inverses.
+    """Smith normal form with its transforms and the row transform's inverse.
 
-    Returns (d, p, q, p_inv, q_inv) with p * m * q = d, d diagonal with
+    Returns (d, p, q, p_inv) with p * m * q = d, d diagonal with
     d_1 | d_2 | ... and all diagonal entries nonnegative.
     """
     r, c = m.rows, m.cols
@@ -158,7 +158,6 @@ def _snf_with_inverses(m: IntMatrix) -> tuple:
     p = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     p_inv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     q = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    q_inv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def row_op(dst: int, src: int, f: int) -> None:
         # a_dst += f * a_src; keeps p * m * q = a, updating p and p_inv.
@@ -172,7 +171,6 @@ def _snf_with_inverses(m: IntMatrix) -> tuple:
             a[i][dst] += f * a[i][src]
         for i in range(c):
             q[i][dst] += f * q[i][src]
-        _add_row(q_inv, src, dst, -f)
 
     def row_swap(i: int, j: int) -> None:
         _swap_rows(a, i, j)
@@ -185,7 +183,6 @@ def _snf_with_inverses(m: IntMatrix) -> tuple:
             a[k][i], a[k][j] = a[k][j], a[k][i]
         for k in range(c):
             q[k][i], q[k][j] = q[k][j], q[k][i]
-        _swap_rows(q_inv, i, j)
 
     def row_negate(i: int) -> None:
         a[i] = [-x for x in a[i]]
@@ -233,13 +230,13 @@ def _snf_with_inverses(m: IntMatrix) -> tuple:
         if t < min(r, c) and a[t][t] < 0:
             row_negate(t)
     d = IntMatrix(a, cols=c)
-    return d, IntMatrix(p), IntMatrix(q), IntMatrix(p_inv), IntMatrix(q_inv)
+    return d, IntMatrix(p), IntMatrix(q), IntMatrix(p_inv)
 
 
 def smith_normal_form(m: IntMatrix) -> tuple:
     """Smith normal form: returns (d, p, q) with p * m * q = d diagonal,
     nonnegative, each diagonal entry dividing the next."""
-    d, p, q, _, _ = _snf_with_inverses(m)
+    d, p, q, _ = _snf_with_inverses(m)
     return d, p, q
 
 
@@ -359,7 +356,7 @@ def quotient_lattice(ambient_rank: int, sub_basis: IntMatrix) -> QuotientLattice
     if k == 0:
         eye = IntMatrix.identity(n)
         return QuotientLattice(n, n, eye, eye)
-    d, p, _, p_inv, _ = _snf_with_inverses(sub_basis)
+    d, p, _, p_inv = _snf_with_inverses(sub_basis)
     nonzero = sum(1 for i in range(min(d.rows, d.cols)) if d.data[i][i] != 0)
     if nonzero != k:
         raise ValueError("dependent columns in sublattice basis")

@@ -22,14 +22,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cellular import check_cellular
-from .fan import Cone, Fan, all_cones, is_smooth_cone, walls
+from .fan import Fan, all_cones, is_smooth_cone, walls
 from .intlat import RowLattice, solve_rational, sparse_kernel_basis
 from .laurent import (
     LaurentPoly,
     box_points,
+    coset_rep,
     divides,
     exact_divide,
-    face_restrict,
     poly_from_obj,
     poly_to_obj,
     restrict,
@@ -98,10 +98,6 @@ class GkmElement:
 
     def __repr__(self) -> str:
         return f"GkmElement({list(self.components)!r})"
-
-
-# same data, different membership test
-PlpElement = GkmElement
 
 
 def constant_embedding(fan: Fan, f) -> GkmElement:
@@ -174,39 +170,40 @@ class MemberSpace:
     def block(self) -> int:
         return len(self.exps)
 
-    def var(self, cone_index: int, exp: tuple) -> int:
-        return cone_index * len(self.exps) + self.exps.index(exp)
 
+def wall_kernel(n_cones: int, wall_chars, exps) -> list:
+    """Saturated kernel of the wall congruences on box-supported tuples.
 
-def _canonical_rep(exp: tuple, chi: tuple) -> tuple:
-    p = next(i for i, x in enumerate(chi) if x)
-    step = chi[p]
-    t = exp[p] // step if step > 0 else -(exp[p] // -step)
-    return tuple(e - t * c for e, c in zip(exp, chi))
-
-
-def member_space(fan: Fan, radius: int) -> MemberSpace:
-    """Saturated lattice of box-supported tuples passing every wall
-    congruence.  The congruences are integer-linear: within each coset of
-    Z*chi the coefficients of the two wall components must have equal sums.
+    wall_chars yields (left, right, chi) per wall; position
+    cone * len(exps) + k holds the coefficient of e^exps[k] on that cone.
+    The congruences are integer-linear: within each coset of Z*chi the
+    coefficients of the two wall components must have equal sums, one row
+    per coset, in order of the coset's first box point.
     """
-    exps = tuple(box_points(fan.rank, radius))
     block = len(exps)
 
     def rows():
         # generated, so the kernel holds the system once, by columns
-        for w in walls(fan):
+        for left, right, chi in wall_chars:
             classes = {}
             for k, e in enumerate(exps):
-                classes.setdefault(_canonical_rep(e, w.character), []).append(k)
+                classes.setdefault(coset_rep(e, chi), []).append(k)
             for members in classes.values():
                 row = {}
                 for k in members:
-                    row[w.left * block + k] = 1
-                    row[w.right * block + k] = -1
+                    row[left * block + k] = 1
+                    row[right * block + k] = -1
                 yield row
 
-    basis = sparse_kernel_basis(block * len(fan.max_cones), rows())
+    return sparse_kernel_basis(block * n_cones, rows())
+
+
+def member_space(fan: Fan, radius: int) -> MemberSpace:
+    """Saturated lattice of box-supported tuples passing every wall
+    congruence."""
+    exps = tuple(box_points(fan.rank, radius))
+    wall_chars = ((w.left, w.right, w.character) for w in walls(fan))
+    basis = wall_kernel(len(fan.max_cones), wall_chars, exps)
     return MemberSpace(fan=fan, radius=radius, exps=exps, basis=tuple(basis))
 
 
@@ -234,24 +231,36 @@ def element_to_vector(space: MemberSpace, e: GkmElement) -> dict:
     return vec
 
 
-def sample_members(space: MemberSpace, count: int, seed: int = 0,
-                   coeff_bound: int = 3, max_terms: int = 4) -> list:
-    """Random small integer combinations of the member basis."""
+def _add_scaled(out: dict, f: int, row: dict) -> None:
+    """out += f * row, dropping the entries that cancel."""
+    for pos, x in row.items():
+        v = out.get(pos, 0) + f * x
+        if v:
+            out[pos] = v
+        else:
+            out.pop(pos, None)
+
+
+def sample_vectors(basis, count: int, seed: int = 0, coeff_bound: int = 3,
+                   max_terms: int = 4) -> list:
+    """Random small integer combinations of sparse basis rows: per sample,
+    a term count, then a row and a coefficient per term."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         vec = {}
         for _ in range(rng.randint(1, max_terms)):
-            b = rng.choice(space.basis)
-            f = rng.randint(-coeff_bound, coeff_bound)
-            for pos, x in b.items():
-                v = vec.get(pos, 0) + f * x
-                if v:
-                    vec[pos] = v
-                else:
-                    vec.pop(pos, None)
-        out.append(vector_to_element(space, vec))
+            row = rng.choice(basis)
+            _add_scaled(vec, rng.randint(-coeff_bound, coeff_bound), row)
+        out.append(vec)
     return out
+
+
+def sample_members(space: MemberSpace, count: int, seed: int = 0,
+                   coeff_bound: int = 3, max_terms: int = 4) -> list:
+    """Random small integer combinations of the member basis."""
+    return [vector_to_element(space, vec)
+            for vec in sample_vectors(space.basis, count, seed, coeff_bound, max_terms)]
 
 
 # --- ordinary K-ring rank ------------------------------------------------------
@@ -351,12 +360,7 @@ class FiltrationBasis:
 def _combine_basis(basis, combo: dict) -> dict:
     out = {}
     for k, f in combo.items():
-        for pos, x in basis[k].items():
-            v = out.get(pos, 0) + f * x
-            if v:
-                out[pos] = v
-            else:
-                out.pop(pos, None)
+        _add_scaled(out, f, basis[k])
     return out
 
 

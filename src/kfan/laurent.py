@@ -184,13 +184,6 @@ def euler_class(u: Sequence[int]) -> LaurentPoly:
     return LaurentPoly(len(u), {zero: 1, neg: -1})
 
 
-def monomial_exp(f: LaurentPoly) -> tuple:
-    """Exponent of a unit monomial (raises otherwise)."""
-    if not f.is_monomial_unit():
-        raise ValueError("not a unit monomial")
-    return next(iter(f.terms))
-
-
 # --- restriction to cones ----------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,13 +14,17 @@ from kfan.baserings import (
     weyl_group_order,
     weyl_orbit,
 )
-from kfan.catalog import p1, p112
+from kfan.catalog import f1, p1, p112, p2
 from kfan.intlat import RowLattice
-from kfan.kring import member_space
+from kfan.kring import member_space, vector_to_element
 from kfan.laurent import LaurentPoly, box_points, poly_to_obj
 
 A2 = [[2, -1], [-1, 2]]
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+B2 = [[2, -1], [-2, 2]]
+G2 = [[2, -1], [-3, 2]]
+B3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+C3 = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
 
 
 def rand_poly(rng, rank, radius=1, terms=3):
@@ -116,6 +121,12 @@ def test_toric_box_basis_matches_member_space():
     assert len(ring.box_basis(2)) == member_space(p1(), 2).dim == 9
     for m in ring.box_basis(1):
         assert ring.is_member(m)
+    # the same kernel, element by element and in order
+    for fan in (p1(), p2(), f1()):
+        for radius in (1, 2):
+            space = member_space(fan, radius)
+            expected = [vector_to_element(space, vec).components for vec in space.basis]
+            assert ToricBase(fan).box_basis(radius) == expected, (fan.name, radius)
 
 
 def test_toric_rejects_bad_bases():
@@ -240,6 +251,36 @@ def test_weyl_group_orders():
     assert weyl_group_order([[2, -1], [-3, 2]], [0, 1]) == 12
 
 
+def _group_order_by_matrices(cartan, gens):
+    # oracle: breadth-first enumeration of the subgroup as matrices acting
+    # on weight coordinates
+    r = len(cartan)
+    eye = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
+    seen = {eye}
+    frontier = [eye]
+    while frontier:
+        nxt = []
+        for mat in frontier:
+            for j in gens:
+                new = tuple(simple_reflection(cartan, j, row) for row in mat)
+                if new not in seen:
+                    seen.add(new)
+                    nxt.append(new)
+        frontier = nxt
+    return len(seen)
+
+
+@pytest.mark.parametrize("cartan, order", [([[2]], 2), (A2, 6), (B2, 8), (G2, 12),
+                                           (A3, 24), (B3, 48), (C3, 48)],
+                         ids=["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
+def test_weyl_group_order_matches_matrix_enumeration(cartan, order):
+    r = len(cartan)
+    assert _group_order_by_matrices(cartan, range(r)) == order
+    for size in range(r + 1):
+        for gens in itertools.combinations(range(r), size):
+            assert weyl_group_order(cartan, gens) == _group_order_by_matrices(cartan, gens)
+
+
 def test_cartan_validation():
     with pytest.raises(ValueError):
         FlagBase([[2, 1], [1, 2]], [])
@@ -267,6 +308,11 @@ def test_flag_membership_and_orbit_sums():
 def test_flag_box_basis_spans_invariants():
     ring = FlagBase(A2, [0])
     basis = ring.box_basis(1)
+    # one orbit sum per orbit inside the box, in order of first box point
+    assert [sorted(b.terms) for b in basis] == [
+        [(-1, 0), (1, -1)], [(-1, 1), (1, 0)], [(0, -1)], [(0, 0)], [(0, 1)]]
+    assert [sorted(s.terms) for s in ring.scalars(1)] == [
+        [(-1, 0), (0, 1), (1, -1)], [(-1, 1), (0, -1), (1, 0)], [(0, 0)]]
     for b in basis:
         assert ring.is_member(b)
     # an invariant supported in the box must be an integer combination
@@ -310,19 +356,31 @@ def test_flag_serialize_rejects_noninvariant():
 
 def test_flag_rank_probe_frozen_values():
     # rank of the parabolic invariants over the full invariants equals the
-    # index of the Weyl subgroup
+    # index of the Weyl subgroup; the (radius, basis, ideal rank, estimate)
+    # histories are frozen too
     cases = [
-        ([[2]], [], 2),
-        ([[2]], [0], 1),
-        (A2, [], 6),
-        (A2, [0], 3),
-        ([[2, -1], [-2, 2]], [], 8),
-        ([[2, -1], [-2, 2]], [0], 4),
+        ([[2]], [], 2, [(1, 3, 1, 2), (2, 5, 3, 2)]),
+        ([[2]], [0], 1, [(1, 2, 1, 1), (2, 3, 2, 1)]),
+        (A2, [], 6, [(1, 9, 3, 6), (2, 25, 19, 6)]),
+        (A2, [0], 3, [(1, 5, 2, 3), (2, 12, 9, 3)]),
+        (B2, [], 8, [(1, 9, 1, 8), (2, 25, 17, 8)]),
+        (B2, [0], 4, [(1, 4, 1, 3), (2, 9, 5, 4), (3, 16, 12, 4)]),
     ]
-    for cartan, ps, expected in cases:
+    for cartan, ps, expected, history in cases:
         rep = flag_rank_probe(cartan, ps, max_radius=5)
         assert rep["conclusive"], rep
         assert rep["rank"] == expected == rep["expected_index"], rep
+        assert rep["history"] == history, rep
+        assert rep["stabilized_at"] == len(history), rep
+
+
+@pytest.mark.parametrize("cartan", [[[2]], A2, B2, G2])
+@pytest.mark.parametrize("radius", [1, 2])
+def test_flag_scalars_are_full_group_box_basis(cartan, radius):
+    full = FlagBase(cartan, range(len(cartan))).box_basis(radius)
+    for size in range(len(cartan) + 1):
+        for ps in itertools.combinations(range(len(cartan)), size):
+            assert FlagBase(cartan, ps).scalars(radius) == full
 
 
 # --- character remap -------------------------------------------------------------

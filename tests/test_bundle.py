@@ -138,6 +138,15 @@ def test_sampled_extended_members_pass_the_check():
     sp = extended_member_space(fiber, base, 1)
     for t in sp.sample(20, seed=9):
         assert extended_check(t)[0]
+    # seeded samples are frozen: the RNG draws a term count, then a basis
+    # row and a coefficient per term
+    sp = extended_member_space(p1(), TrivialBase(1), 1)
+    got = [[sorted(c.terms.items()) for c in t.comps] for t in sp.sample(3, seed=6)]
+    assert got == [
+        [[], [((-1,), 3), ((0,), -3)]],
+        [[((-1,), -3), ((0,), 2)], [((-1,), -3), ((0,), 2)]],
+        [[((-1,), -1), ((1,), 3)], [((-1,), 2), ((0,), -3), ((1,), 3)]],
+    ]
 
 
 def test_extended_rank_trivial_base():

@@ -5,7 +5,6 @@ import pytest
 from kfan import catalog
 from kfan.kring import (
     GkmElement,
-    PlpElement,
     build_filtration_basis,
     constant_embedding,
     decompose,
@@ -46,7 +45,6 @@ def test_element_ops_and_coercion():
         GkmElement(fan, [LaurentPoly.one(2), LaurentPoly.one(2)])
     with pytest.raises(ValueError):
         one + constant_embedding(catalog.p2(), 1)
-    assert PlpElement is GkmElement
 
 
 def test_gkm_check_p1():
@@ -111,6 +109,18 @@ def test_member_space_dims_frozen():
     assert member_space(catalog.p1(), 2).dim == 9
     assert member_space(catalog.p2(), 1).dim == 17
     assert member_space(catalog.p2(), 2).dim == 57
+
+
+def test_seeded_samples_frozen():
+    # the RNG draws a term count, then a basis row and a coefficient per term
+    space = member_space(catalog.p1(), 1)
+    got = [[sorted(c.terms.items()) for c in t.components]
+           for t in sample_members(space, 3, seed=5)]
+    assert got == [
+        [[((1,), 3)], [((-1,), 6), ((0,), -6), ((1,), 3)]],
+        [[((-1,), -3), ((0,), 3)], []],
+        [[((-1,), 2), ((0,), -2)], [((0,), -5), ((1,), 5)]],
+    ]
 
 
 def test_member_vector_roundtrip():
