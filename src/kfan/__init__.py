@@ -21,7 +21,6 @@ from .baserings import (
 )
 from .bundle import (
     ExtendedElement,
-    ExtendedRankReport,
     bundle_presentation,
     diagonal,
     extended_box_rank,
@@ -80,8 +79,8 @@ from .intlat import (
 from .kring import (
     FiltrationBasis,
     GkmElement,
-    KRankReport,
     MemberSpace,
+    RankReport,
     SRPresentation,
     build_filtration_basis,
     constant_embedding,

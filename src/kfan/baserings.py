@@ -19,13 +19,12 @@ from typing import Optional, Sequence
 
 from .cellular import check_cellular
 from .fan import Fan, walls
-from .intlat import IntMatrix, RowLattice, solve_integer
-from .kring import is_smooth_fan, wall_kernel
+from .intlat import RowLattice
+from .kring import box_stabilize, is_smooth_fan, plateau, wall_kernel
 from .laurent import (
     LaurentPoly,
     box_index,
     box_points,
-    coset_rep,
     divides,
     poly_from_obj,
     poly_to_obj,
@@ -39,29 +38,30 @@ class BaseRing(ABC):
     char_rank: int
 
     @abstractmethod
-    def zero(self): ...
+    def scalar(self, n: int):
+        """The integer n as an element: n times one."""
 
-    @abstractmethod
-    def one(self): ...
+    def zero(self):
+        return self.scalar(0)
 
-    @abstractmethod
-    def add(self, a, b): ...
+    def one(self):
+        return self.scalar(1)
 
-    @abstractmethod
-    def neg(self, a): ...
+    # the ring operations default to the elements' own operators
+    def add(self, a, b):
+        return a + b
 
-    @abstractmethod
-    def mul(self, a, b): ...
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    @abstractmethod
-    def scalar(self, n: int):
-        """The integer n as an element: n times one."""
-
-    @abstractmethod
-    def eq(self, a, b) -> bool: ...
+    def eq(self, a, b) -> bool:
+        return a == b
 
     def is_zero(self, a) -> bool:
         return self.eq(a, self.zero())
@@ -141,26 +141,8 @@ class PointBase(BaseRing):
     def __init__(self, char_rank: int = 0):
         self.char_rank = char_rank
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def scalar(self, n):
         return n
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
 
     def is_member(self, a):
         return isinstance(a, int)
@@ -216,26 +198,8 @@ class TrivialBase(BaseRing):
             raise ValueError("character lattice must have positive rank")
         self.char_rank = char_rank
 
-    def zero(self):
-        return LaurentPoly.zero(self.char_rank)
-
-    def one(self):
-        return LaurentPoly.one(self.char_rank)
-
     def scalar(self, n):
         return LaurentPoly.constant(self.char_rank, n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
 
     def is_member(self, a):
         return isinstance(a, LaurentPoly) and a.rank == self.char_rank
@@ -327,13 +291,6 @@ class ToricBase(BaseRing):
     def _wall_chars(self):
         return [(w.left, w.right, self._embed(w.character)) for w in walls(self.fan)]
 
-    def zero(self):
-        z = LaurentPoly.zero(self.coeff_rank)
-        return tuple([z] * len(self.fan.max_cones))
-
-    def one(self):
-        return self.scalar(1)
-
     def scalar(self, n):
         c = LaurentPoly.constant(self.coeff_rank, n)
         return tuple([c] * len(self.fan.max_cones))
@@ -346,9 +303,6 @@ class ToricBase(BaseRing):
 
     def mul(self, a, b):
         return tuple(x * y for x, y in zip(a, b))
-
-    def eq(self, a, b):
-        return a == b
 
     def is_member(self, a):
         if not isinstance(a, tuple) or len(a) != len(self.fan.max_cones):
@@ -373,20 +327,20 @@ class ToricBase(BaseRing):
         that the quotients glue to a member of this ring.
 
         Components where the line class is trivial force the difference to
-        vanish and leave the quotient free there; free components are
-        completed by an exact bounded-box solve of the glue conditions.
+        vanish and leave the quotient free there; whether free components
+        complete the others is decided exactly in a bounded box.
         """
         cls = self.line_class(chi)
         diff = self.sub(a, b)
         quotients = []
-        free = []
+        free = set()
         for k, (d, c) in enumerate(zip(diff, cls)):
             exp = next(iter(c.terms))
             if not any(exp):
                 if not d.is_zero():
                     return False
                 quotients.append(None)
-                free.append(k)
+                free.add(k)
             else:
                 ok, q = divides(d, exp)
                 if not ok:
@@ -396,8 +350,8 @@ class ToricBase(BaseRing):
         if not free:
             return all(divides(quotients[l] - quotients[r], chi_w)[0]
                        for l, r, chi_w in wall_chars)
-        # glue conditions fix each free component modulo wall ideals; solve
-        # them exactly in a box wide enough for the determined quotients
+        # glue conditions fix each free component modulo wall ideals; decide
+        # them in a box wide enough for the determined quotients
         radius = max([q.support_radius() for q in quotients if q is not None]
                      + [max(abs(x) for ch in (w[2] for w in wall_chars) for x in ch)]
                      + [1])
@@ -407,39 +361,19 @@ class ToricBase(BaseRing):
         return False
 
     def _complete_free(self, quotients, free, wall_chars, radius) -> bool:
+        """Free components inside the radius box complete the fixed
+        quotients exactly when the fixed part lies in the projection of the
+        box member lattice onto the fixed cones."""
         exps = box_points(self.coeff_rank, radius)
-        index = {e: i for i, e in enumerate(exps)}
         block = len(exps)
-        free_pos = {k: n for n, k in enumerate(free)}
-        rows = []
-        rhs = []
-        for l, r, chi_w in wall_chars:
-            if l not in free_pos and r not in free_pos:
-                if not divides(quotients[l] - quotients[r], chi_w)[0]:
-                    return False
-                continue
-            classes = {}
-            for e in exps:
-                classes.setdefault(coset_rep(e, chi_w), []).append(e)
-            fixed = {}
-            for side, sign in ((l, 1), (r, -1)):
-                if side not in free_pos:
-                    for exp, coef in quotients[side].terms.items():
-                        if exp not in index:
-                            return False
-                        fixed[exp] = fixed.get(exp, 0) + sign * coef
-            for members in classes.values():
-                row = [0] * (block * len(free))
-                for e in members:
-                    if l in free_pos:
-                        row[free_pos[l] * block + index[e]] += 1
-                    if r in free_pos:
-                        row[free_pos[r] * block + index[e]] -= 1
-                rows.append(row)
-                rhs.append(-sum(fixed.get(e, 0) for e in members))
-        if not rows:
-            return True
-        return solve_integer(IntMatrix(rows, cols=block * len(free)), rhs) is not None
+        lat = RowLattice()
+        for vec in wall_kernel(len(self.fan.max_cones), wall_chars, exps):
+            lat.insert({pos: x for pos, x in vec.items() if pos // block not in free})
+        fixed = {}
+        for k, q in enumerate(quotients):
+            if q is not None:
+                _poly_coeffs(q, self.coeff_rank, radius, k * block, fixed)
+        return lat.contains(fixed)
 
     def augmentation(self, a):
         return sum(a[0].terms.values())
@@ -541,13 +475,14 @@ def weyl_group_order(cartan, gens: Sequence[int], guard: int = 10 ** 6) -> int:
     return len(weyl_orbit(cartan, gens, (1,) * len(cartan), guard))
 
 
-class FlagBase(BaseRing):
+class FlagBase(TrivialBase):
     """Weyl-subgroup invariants of the weight-lattice Laurent ring.
 
     Weights use fundamental-weight coordinates of a simply-connected group
     with the given Cartan matrix; parabolic_set lists the simple roots
     whose reflections must fix every element.  line_class accepts only
     characters fixed by those reflections (coordinates in the set vanish).
+    The Laurent arithmetic and box coordinates are the trivial base's.
     """
 
     def __init__(self, cartan, parabolic_set: Sequence[int]):
@@ -559,36 +494,14 @@ class FlagBase(BaseRing):
             raise ValueError("parabolic set indexes simple roots")
         self.parabolic_set = tuple(ps)
 
-    def zero(self):
-        return LaurentPoly.zero(self.rank)
-
-    def one(self):
-        return LaurentPoly.one(self.rank)
-
-    def scalar(self, n):
-        return LaurentPoly.constant(self.rank, n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
-
     def reflect(self, j: int, a: LaurentPoly) -> LaurentPoly:
         return LaurentPoly(self.rank, {
             simple_reflection(self.cartan, j, exp): coef
             for exp, coef in a.terms.items()})
 
     def is_member(self, a):
-        if not isinstance(a, LaurentPoly) or a.rank != self.rank:
-            return False
-        return all(self.reflect(j, a) == a for j in self.parabolic_set)
+        return (super().is_member(a)
+                and all(self.reflect(j, a) == a for j in self.parabolic_set))
 
     def orbit_sum(self, lam: Sequence[int]) -> LaurentPoly:
         orbit = weyl_orbit(self.cartan, self.parabolic_set, lam)
@@ -603,13 +516,8 @@ class FlagBase(BaseRing):
         return LaurentPoly.monomial(chi)
 
     def congruent(self, a, b, chi):
-        cls = self.line_class(chi)
-        if not any(next(iter(cls.terms))):
-            return a == b
-        return divides(a - b, next(iter(cls.terms)))[0]
-
-    def augmentation(self, a):
-        return sum(a.terms.values())
+        self.line_class(chi)  # raises unless the parabolic reflections fix chi
+        return super().congruent(a, b, chi)
 
     def _orbit_sums(self, gens, radius) -> list:
         """Sums over the orbits of the reflections gens that lie entirely
@@ -631,12 +539,6 @@ class FlagBase(BaseRing):
     def box_basis(self, radius):
         return self._orbit_sums(self.parabolic_set, radius)
 
-    def coeff_vector(self, a, radius):
-        return _poly_coeffs(a, self.rank, radius, 0, {})
-
-    def coeff_dim(self, radius):
-        return (2 * radius + 1) ** self.rank
-
     def scalars(self, radius):
         # full-group invariants, whatever the parabolic set
         return self._orbit_sums(range(self.rank), radius)
@@ -651,14 +553,8 @@ class FlagBase(BaseRing):
                                               for j in range(self.rank)))
                    for x in mu)
 
-    def support_radius(self, a):
-        return a.support_radius()
-
-    def serialize(self, a):
-        return poly_to_obj(a)
-
     def deserialize(self, obj):
-        a = poly_from_obj(self.rank, obj)
+        a = super().deserialize(obj)
         if not self.is_member(a):
             raise ValueError("polynomial is not invariant under the parabolic "
                              "reflections")
@@ -692,41 +588,36 @@ def flag_rank_probe(cartan, parabolic_set, max_radius: int = 4) -> dict:
     def ideal_rank_in_box(d: int) -> int:
         inside = box_points(r, d)
         inside_set = set(inside)
-        prev_rank = None
-        for pad in range(0, 6):
-            big = box_points(r, d + pad + k_s)
-            col = {}
-            n_out = 0
-            for e in big:
-                if e not in inside_set:
-                    col[e] = n_out
-                    n_out += 1
-            for k, e in enumerate(inside):
-                col[e] = n_out + k
-            lat = RowLattice()
-            for g, aug in mults:
-                for h in inv.box_basis(d + pad):
-                    prod = g * h - aug * h
-                    lat.insert({col[exp]: c for exp, c in prod.terms.items()})
-            now = sum(1 for c in lat.pivots if c >= n_out)
-            if now == prev_rank:
-                return now
-            prev_rank = now
-        return prev_rank
 
-    history = []
-    prev = None
-    for d in range(1, max_radius + 1):
-        basis = inv.box_basis(d)
+        def pad_ranks():
+            for pad in range(0, 6):
+                big = box_points(r, d + pad + k_s)
+                col = {}
+                n_out = 0
+                for e in big:
+                    if e not in inside_set:
+                        col[e] = n_out
+                        n_out += 1
+                for k, e in enumerate(inside):
+                    col[e] = n_out + k
+                lat = RowLattice()
+                for g, aug in mults:
+                    for h in inv.box_basis(d + pad):
+                        prod = g * h - aug * h
+                        lat.insert({col[exp]: c for exp, c in prod.terms.items()})
+                yield sum(1 for c in lat.pivots if c >= n_out)
+
+        return plateau(pad_ranks())
+
+    def step(d: int) -> tuple:
+        n_basis = len(inv.box_basis(d))
         ideal_rank = ideal_rank_in_box(d)
-        est = len(basis) - ideal_rank
-        history.append((d, len(basis), ideal_rank, est))
-        if prev is not None and est == prev:
-            return {"rank": est, "stabilized_at": d, "conclusive": True,
-                    "history": history, "expected_index": expected}
-        prev = est
-    return {"rank": prev, "stabilized_at": None, "conclusive": False,
-            "history": history, "expected_index": expected}
+        return d, n_basis, ideal_rank, n_basis - ideal_rank
+
+    rep = box_stabilize(step, max_radius)
+    return {"rank": rep.rank, "stabilized_at": rep.stabilized_at,
+            "conclusive": rep.conclusive, "history": list(rep.history),
+            "expected_index": expected}
 
 
 class CharRemap(BaseRing):
@@ -750,12 +641,6 @@ class CharRemap(BaseRing):
             raise ValueError("character length does not match")
         return tuple(sum(c * col[d] for c, col in zip(chi, self.columns))
                      for d in range(self.inner.char_rank))
-
-    def zero(self):
-        return self.inner.zero()
-
-    def one(self):
-        return self.inner.one()
 
     def scalar(self, n):
         return self.inner.scalar(n)

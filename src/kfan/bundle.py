@@ -21,9 +21,12 @@ from .fan import Fan, walls
 from .intlat import RowLattice, sparse_kernel_basis
 from .kring import (
     GkmElement,
+    RankReport,
+    box_stabilize,
     gkm_check,
     member_space,
     ordinary_k_rank,
+    plateau,
     sample_members,
     sample_vectors,
     sr_presentation,
@@ -248,23 +251,16 @@ def element_coeffs(e: ExtendedElement, radius: int) -> dict:
 # --- rank estimate ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtendedRankReport:
-    rank: Optional[int]
-    stabilized_at: Optional[int]
-    conclusive: bool
-    history: tuple
-
-
 def extended_box_rank(fan: Fan, base: BaseRing, max_radius: int = 3,
-                      pad_limit: int = 3) -> ExtendedRankReport:
+                      pad_limit: int = 3) -> RankReport:
     """Rank of the extended members modulo the scalar augmentation ideal,
     estimated on growing boxes until two estimates agree.
 
     For each box the ideal is spanned by (scalar minus its augmentation)
     times a padded member lattice; the estimate is rank(members + ideal) -
     rank(ideal), which subtracts exactly the members caught in the ideal
-    span.  Padding grows until the estimate plateaus.
+    span.  Padding grows until the estimate plateaus, and the radius until
+    box_stabilize stops it.
 
     The ideal part of step (d, pad) depends only on big = d + pad, so its
     lattice is echeloned once per big, from the products
@@ -307,38 +303,24 @@ def extended_box_rank(fan: Fan, base: BaseRing, max_radius: int = 3,
             ideals[big] = lat
         return ideals[big]
 
-    history = []
-    prev = None
-    for d in range(1, max_radius + 1):
+    def step(d: int) -> tuple:
         for cache in (ideals, spaces):
             for r in [r for r in cache if r < d]:
                 del cache[r]
         members = space(d)
         member_elems = [members.to_element(row) for row in members.basis]
-        est = None
-        prev_pad_est = None
-        for pad in range(pad_limit + 1):
-            big = d + pad
-            coeff_radius = big + k_s
-            ideal_lat = ideal(big)
-            ideal_rank = ideal_lat.rank
-            lat = ideal_lat.copy()
-            for e in member_elems:
-                lat.insert(element_coeffs(e, coeff_radius))
-            now = lat.rank - ideal_rank
-            if now == prev_pad_est:
-                est = now
-                break
-            prev_pad_est = now
-        if est is None:
-            est = prev_pad_est
-        history.append((d, members.dim, est))
-        if prev is not None and est == prev:
-            return ExtendedRankReport(rank=est, stabilized_at=d,
-                                      conclusive=True, history=tuple(history))
-        prev = est
-    return ExtendedRankReport(rank=prev, stabilized_at=None, conclusive=False,
-                              history=tuple(history))
+
+        def pad_estimates():
+            for big in range(d, d + pad_limit + 1):
+                ideal_lat = ideal(big)
+                lat = ideal_lat.copy()
+                for e in member_elems:
+                    lat.insert(element_coeffs(e, big + k_s))
+                yield lat.rank - ideal_lat.rank
+
+        return d, members.dim, plateau(pad_estimates())
+
+    return box_stabilize(step, max_radius)
 
 
 # --- tensor-product surjectivity ---------------------------------------------------

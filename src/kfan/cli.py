@@ -174,6 +174,12 @@ def _human(obj, indent: int = 0) -> str:
 # Each handler returns (digest_payload, inputs_summary, result, conclusive).
 
 
+def _rank_result(rep) -> dict:
+    """The report of a box-stabilized RankReport."""
+    return {"rank": rep.rank, "stabilized_at": rep.stabilized_at,
+            "conclusive": rep.conclusive, "history": [list(h) for h in rep.history]}
+
+
 def _cmd_validate(args):
     f = load_fan(args.fan, trust=True)
     rep = validate_fan(f)
@@ -255,11 +261,8 @@ def _cmd_rank(args):
     f = load_fan(args.fan, trust=args.trust_fan)
     radius = args.box if args.box is not None else 5
     rep = ordinary_k_rank(f, max_radius=radius)
-    result = {"rank": rep.rank, "stabilized_at": rep.stabilized_at,
-              "conclusive": rep.conclusive,
-              "history": [list(h) for h in rep.history]}
     payload = {"fan": fan_to_json(f), "box": radius}
-    return payload, {"fan": _fan_summary(f)}, result, rep.conclusive
+    return payload, {"fan": _fan_summary(f)}, _rank_result(rep), rep.conclusive
 
 
 def _cmd_sr(args):
@@ -340,9 +343,7 @@ def _extended_report(args, fan, base, payload):
     rank = extended_box_rank(fan, base, max_radius=payload["box"])
     result = {
         "check": check,
-        "rank": {"rank": rank.rank, "stabilized_at": rank.stabilized_at,
-                 "conclusive": rank.conclusive,
-                 "history": [list(h) for h in rank.history]},
+        "rank": _rank_result(rank),
         "presentation": _presentation_report(fan, base),
     }
     return result, rank.conclusive
@@ -388,8 +389,6 @@ def _cmd_horo(args):
 def _cmd_crosscheck(args):
     if args.hirzebruch is None:
         raise InputError("crosscheck needs --hirzebruch A")
-    if args.hirzebruch < 0:
-        raise InputError(f"--hirzebruch needs a nonnegative twist, got {args.hirzebruch}")
     radius = args.box if args.box is not None else 1
     result = hirzebruch_crosscheck(args.hirzebruch, samples=args.samples,
                                    seed=args.seed, radius=radius)
@@ -503,6 +502,10 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        for opt in ("box", "samples", "degree", "hirzebruch"):
+            value = getattr(args, opt, None)
+            if value is not None and value < 0:
+                raise InputError(f"--{opt} needs a nonnegative value, got {value}")
         payload, inputs, result, conclusive = _HANDLERS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .baserings import CharRemap, FlagBase, _validate_cartan
 from .bundle import (
     ExtendedElement,
-    ExtendedRankReport,
     bundle_presentation,
     extended_box_rank,
     extended_check,
@@ -27,6 +26,7 @@ from .catalog import p1
 from .cellular import check_cellular
 from .fan import Fan, fan_to_json, parse_fan
 from .intlat import IntMatrix, rank as int_rank
+from .kring import RankReport
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def horo_check(datum: HorosphericalDatum, comps) -> tuple:
     return extended_check(ExtendedElement(fan, base, comps))
 
 
-def horo_rank(datum: HorosphericalDatum, max_radius: int = 3) -> ExtendedRankReport:
+def horo_rank(datum: HorosphericalDatum, max_radius: int = 3) -> RankReport:
     fan, base = k_horospherical(datum)
     return extended_box_rank(fan, base, max_radius=max_radius)
 

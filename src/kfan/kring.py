@@ -267,11 +267,42 @@ def sample_members(space: MemberSpace, count: int, seed: int = 0,
 
 
 @dataclass(frozen=True)
-class KRankReport:
+class RankReport:
+    """A box-stabilized rank; each history row ends with its estimate."""
+
     rank: Optional[int]
     stabilized_at: Optional[int]
     conclusive: bool
-    history: tuple  # (radius, member_dim, ideal_rank, estimate)
+    history: tuple
+
+
+def plateau(values):
+    """The first value equal to the one before it, else the last value
+    (None for no values).  Values are drawn lazily, so none is computed
+    past the plateau."""
+    prev = None
+    for n, v in enumerate(values):
+        if n and v == prev:
+            return v
+        prev = v
+    return prev
+
+
+def box_stabilize(step, max_radius: int) -> RankReport:
+    """The stopping rule of every box-rank estimate: step(d) returns the
+    history row at radius d, estimate last, for d = 1, 2, ... until two
+    successive estimates agree or max_radius is passed."""
+    history = []
+
+    def estimates():
+        for d in range(1, max_radius + 1):
+            history.append(tuple(step(d)))
+            yield history[-1][-1]
+
+    rank = plateau(estimates())
+    conclusive = len(history) > 1 and history[-2][-1] == rank
+    return RankReport(rank=rank, stabilized_at=len(history) if conclusive else None,
+                      conclusive=conclusive, history=tuple(history))
 
 
 def _augmentation_ideal_rank(fan: Fan, space: MemberSpace, inner: MemberSpace) -> int:
@@ -323,27 +354,23 @@ def _augmentation_ideal_rank(fan: Fan, space: MemberSpace, inner: MemberSpace) -
     return lat.rank
 
 
-def ordinary_k_rank(fan: Fan, max_radius: int = 5) -> KRankReport:
+def ordinary_k_rank(fan: Fan, max_radius: int = 5) -> RankReport:
     """Rank of the K-ring with the torus action forgotten.
 
     At box radius d the estimate is dim(members at d) minus the rank of
-    (augmentation ideal) * (members at d-1) pushed into the d-box.  The
-    radius steps up by one until two successive estimates agree; the common
-    value is reported with the radius where stabilization happened.
+    (augmentation ideal) * (members at d-1) pushed into the d-box, stopped
+    by box_stabilize.
     """
-    history = []
-    prev_space = member_space(fan, 0)
-    prev_est = None
-    for d in range(1, max_radius + 1):
+    inner = member_space(fan, 0)  # the radius d-1 space, carried over
+
+    def step(d: int) -> tuple:
+        nonlocal inner
         space = member_space(fan, d)
-        ideal_rank = _augmentation_ideal_rank(fan, space, prev_space)
-        est = space.dim - ideal_rank
-        history.append((d, space.dim, ideal_rank, est))
-        if prev_est is not None and est == prev_est:
-            return KRankReport(est, d, True, tuple(history))
-        prev_est = est
-        prev_space = space
-    return KRankReport(prev_est, None, False, tuple(history))
+        ideal_rank = _augmentation_ideal_rank(fan, space, inner)
+        inner = space
+        return d, space.dim, ideal_rank, space.dim - ideal_rank
+
+    return box_stabilize(step, max_radius)
 
 
 # --- filtration basis ----------------------------------------------------------

@@ -14,10 +14,10 @@ from kfan.baserings import (
     weyl_group_order,
     weyl_orbit,
 )
-from kfan.catalog import f1, p1, p112, p2
-from kfan.intlat import RowLattice
+from kfan.catalog import f1, p1, p112, p1xp1, p2
+from kfan.intlat import IntMatrix, RowLattice, solve_integer
 from kfan.kring import member_space, vector_to_element
-from kfan.laurent import LaurentPoly, box_points, poly_to_obj
+from kfan.laurent import LaurentPoly, box_points, coset_rep, divides, poly_to_obj
 
 A2 = [[2, -1], [-1, 2]]
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -213,6 +213,95 @@ def test_toric_zero_component_congruence():
     # nonzero difference on the trivial component can never be congruent
     bump = (LaurentPoly.one(2), LaurentPoly.zero(2))
     assert not ring.congruent(ring.add(b, bump), b, (1,))
+
+
+def _free_cone_oracle(ring, a, b, chi) -> bool:
+    """ToricBase.congruent in its first formulation: divide componentwise,
+    then solve the glue conditions for the components where the line class
+    is trivial as one dense integer system per box radius."""
+    quotients, free = [], []
+    for k, (d, c) in enumerate(zip(ring.sub(a, b), ring.line_class(chi))):
+        exp = next(iter(c.terms))
+        if not any(exp):
+            if not d.is_zero():
+                return False
+            quotients.append(None)
+            free.append(k)
+        else:
+            ok, q = divides(d, exp)
+            if not ok:
+                return False
+            quotients.append(q)
+    wall_chars = ring._wall_chars()
+    if not free:
+        return all(divides(quotients[l] - quotients[r], w)[0] for l, r, w in wall_chars)
+    radius = max([q.support_radius() for q in quotients if q is not None]
+                 + [abs(x) for _, _, w in wall_chars for x in w] + [1])
+    for attempt in (radius, radius + 1):
+        exps = box_points(ring.coeff_rank, attempt)
+        index = {e: i for i, e in enumerate(exps)}
+        block = len(exps)
+        free_pos = {k: n for n, k in enumerate(free)}
+        rows, rhs = [], []
+        glued = all(exp in index for q in quotients if q is not None for exp in q.terms)
+        for l, r, w in wall_chars:
+            if l not in free_pos and r not in free_pos:
+                glued = glued and divides(quotients[l] - quotients[r], w)[0]
+                continue
+            classes = {}
+            for e in exps:
+                classes.setdefault(coset_rep(e, w), []).append(e)
+            fixed = {}
+            for side, sign in ((l, 1), (r, -1)):
+                if side not in free_pos:
+                    for exp, coef in quotients[side].terms.items():
+                        fixed[exp] = fixed.get(exp, 0) + sign * coef
+            for members in classes.values():
+                row = [0] * (block * len(free))
+                for e in members:
+                    if l in free_pos:
+                        row[free_pos[l] * block + index[e]] += 1
+                    if r in free_pos:
+                        row[free_pos[r] * block + index[e]] -= 1
+                rows.append(row)
+                rhs.append(-sum(fixed.get(e, 0) for e in members))
+        if glued and (not rows or solve_integer(
+                IntMatrix(rows, cols=block * len(free)), rhs) is not None):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("fan, line_data, coeff_rank", [
+    (p1(), [(0, 0), (1, 0)], 2),
+    (p2(), [(0, 0), (1, 0), (0, 1)], None),
+    (p1xp1(), [(0, 0), (0, 0), (0, 1), (0, 1)], None),
+    (p1xp1(), [(0, 0), (1, 0), (1, 1), (0, 1)], None),
+    (p1xp1(), [(0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 0, 0)], 3),
+], ids=["p1", "p2", "p1xp1-two-free", "p1xp1-one-free", "p1xp1-rank3"])
+def test_toric_free_cone_congruence_matches_integer_solve(fan, line_data, coeff_rank):
+    # most differences divide by (1 - line class) on every cone, so whether
+    # the quotients glue decides the verdict; on P1 they always glue, and a
+    # bumped component is what fails there
+    ring = ToricBase(fan, coeff_rank=coeff_rank, line_data=[line_data])
+    rng = random.Random(11)
+    verdicts = []
+    for n in range(60):
+        chi = (rng.choice([-2, -1, 1, 2]),)
+        b = rand_member(rng, ring, radius=1, terms=2)
+        q = rand_member(rng, ring, radius=1, terms=2)
+        if n % 4 in (1, 2):
+            noise = tuple(rand_poly(rng, ring.coeff_rank, radius=1, terms=2)
+                          for _ in fan.max_cones)
+            q = noise if n % 4 == 2 else ring.add(q, noise)
+        a = ring.add(b, ring.mul(ring.sub(ring.one(), ring.line_class(chi)), q))
+        if n % 4 == 3:
+            k = rng.randrange(len(fan.max_cones))
+            a = tuple(c + LaurentPoly.monomial(rng.choice(box_points(ring.coeff_rank, 1)))
+                      if i == k else c for i, c in enumerate(a))
+        got = ring.congruent(a, b, chi)
+        assert got == _free_cone_oracle(ring, a, b, chi), (n, chi, q)
+        verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_toric_serialize_roundtrip():

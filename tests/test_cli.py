@@ -42,7 +42,11 @@ def test_exit_code_contract(tmp_path, capsys):
     (["crosscheck", "--hirzebruch", "-1"], "nonnegative"),
     (["bundle", '{"fiber":"p2","base":{"kind":"trivial","char_rank":1}}'],
      "character rank"),
-], ids=["invalid-fan", "negative-twist", "fiber-rank-mismatch"])
+    (["sr", "p2", "--degree", "-1"], "--degree"),
+    (["crosscheck", "--hirzebruch", "1", "--box", "-1"], "--box"),
+    (["basis", "p2", "--samples", "-1"], "--samples"),
+], ids=["invalid-fan", "negative-twist", "fiber-rank-mismatch", "negative-degree",
+        "negative-box", "negative-samples"])
 def test_malformed_input_exits_2_with_message(capsys, argv, message):
     assert run(argv) == 2
     captured = capsys.readouterr()

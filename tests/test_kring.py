@@ -5,6 +5,7 @@ import pytest
 from kfan import catalog
 from kfan.kring import (
     GkmElement,
+    box_stabilize,
     build_filtration_basis,
     constant_embedding,
     decompose,
@@ -16,6 +17,7 @@ from kfan.kring import (
     member_space,
     minimal_nonfaces,
     ordinary_k_rank,
+    plateau,
     plp_check,
     relation_image,
     sample_members,
@@ -311,3 +313,38 @@ def test_ordinary_k_rank_histories_frozen_rank_three():
     rep = ordinary_k_rank(cube)
     assert rep.history == ((1, 125, 26, 99), (2, 729, 721, 8), (3, 2197, 2189, 8))
     assert (rep.rank, rep.stabilized_at, rep.conclusive) == (8, 3, True)
+
+
+def test_box_stabilize_without_plateau_is_inconclusive():
+    estimates = {1: 7, 2: 5, 3: 6}
+    rep = box_stabilize(lambda d: (d, estimates[d]), 3)
+    assert rep.history == ((1, 7), (2, 5), (3, 6))
+    assert (rep.rank, rep.stabilized_at, rep.conclusive) == (6, None, False)
+
+
+def test_box_stabilize_stops_at_the_first_repeat():
+    steps = []
+
+    def step(d):
+        steps.append(d)
+        return d, 10 * d, (9, 4, 4, 4)[d - 1]
+
+    rep = box_stabilize(step, 4)
+    assert steps == [1, 2, 3]
+    assert (rep.rank, rep.stabilized_at, rep.conclusive) == (4, 3, True)
+
+
+def test_box_stabilize_with_no_radius_has_no_rank():
+    rep = box_stabilize(lambda d: pytest.fail("no radius to step"), 0)
+    assert (rep.rank, rep.stabilized_at, rep.conclusive, rep.history) == (
+        None, None, False, ())
+    # the CLI prints exactly this report for a zero box
+    assert ordinary_k_rank(catalog.p1(), max_radius=0) == rep
+
+
+def test_plateau_returns_the_first_repeat_or_the_last_value():
+    assert plateau([3, 1, 2]) == 2
+    assert plateau([]) is None
+    values = iter([5, 2, 2, 7])
+    assert plateau(values) == 2
+    assert list(values) == [7]  # drawn no further than the repeat
