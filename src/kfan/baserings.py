@@ -315,11 +315,15 @@ class ToricBase(BaseRing):
     def line_class(self, chi):
         if len(chi) != self.char_rank:
             raise ValueError("character length does not match")
+        terms = [(int(c), per_cone) for c, per_cone in zip(chi, self.line_data) if c]
         comps = []
         for k in range(len(self.fan.max_cones)):
-            exp = tuple(sum(c * self.line_data[i][k][d] for i, c in enumerate(chi))
-                        for d in range(self.coeff_rank))
-            comps.append(LaurentPoly.monomial(exp))
+            exp = [0] * self.coeff_rank
+            for c, per_cone in terms:
+                for d, x in enumerate(per_cone[k]):
+                    exp[d] += c * x
+            # a fresh tuple of ints with coefficient 1: clean, as _raw needs
+            comps.append(LaurentPoly._raw(self.coeff_rank, {tuple(exp): 1}))
         return tuple(comps)
 
     def congruent(self, a, b, chi):

@@ -26,6 +26,7 @@ from .fan import Fan, all_cones, is_smooth_cone, walls
 from .intlat import RowLattice, solve_rational, sparse_kernel_basis
 from .laurent import (
     LaurentPoly,
+    box_index,
     box_points,
     coset_rep,
     divides,
@@ -171,8 +172,8 @@ class MemberSpace:
         return len(self.exps)
 
 
-def wall_kernel(n_cones: int, wall_chars, exps) -> list:
-    """Saturated kernel of the wall congruences on box-supported tuples.
+def _wall_rows(wall_chars, exps):
+    """The wall congruences on box-supported tuples, one sparse row each.
 
     wall_chars yields (left, right, chi) per wall; position
     cone * len(exps) + k holds the coefficient of e^exps[k] on that cone.
@@ -181,21 +182,22 @@ def wall_kernel(n_cones: int, wall_chars, exps) -> list:
     per coset, in order of the coset's first box point.
     """
     block = len(exps)
+    for left, right, chi in wall_chars:
+        classes = {}
+        for k, e in enumerate(exps):
+            classes.setdefault(coset_rep(e, chi), []).append(k)
+        for members in classes.values():
+            row = {}
+            for k in members:
+                row[left * block + k] = 1
+                row[right * block + k] = -1
+            yield row
 
-    def rows():
-        # generated, so the kernel holds the system once, by columns
-        for left, right, chi in wall_chars:
-            classes = {}
-            for k, e in enumerate(exps):
-                classes.setdefault(coset_rep(e, chi), []).append(k)
-            for members in classes.values():
-                row = {}
-                for k in members:
-                    row[left * block + k] = 1
-                    row[right * block + k] = -1
-                yield row
 
-    return sparse_kernel_basis(block * n_cones, rows())
+def wall_kernel(n_cones: int, wall_chars, exps) -> list:
+    """Saturated kernel of the wall congruences (see _wall_rows); the rows
+    are generated, so the kernel holds the system once, by columns."""
+    return sparse_kernel_basis(len(exps) * n_cones, _wall_rows(wall_chars, exps))
 
 
 def member_space(fan: Fan, radius: int) -> MemberSpace:
@@ -205,6 +207,21 @@ def member_space(fan: Fan, radius: int) -> MemberSpace:
     wall_chars = ((w.left, w.right, w.character) for w in walls(fan))
     basis = wall_kernel(len(fan.max_cones), wall_chars, exps)
     return MemberSpace(fan=fan, radius=radius, exps=exps, basis=tuple(basis))
+
+
+def member_dim(fan: Fan, radius: int) -> int:
+    """member_space(fan, radius).dim without building the basis.
+
+    The kernel's dimension is the number of box positions minus the rank
+    of the wall-congruence rows, and that rank needs only an echelon of
+    the rows, while the kernel tracks one coordinate column per position
+    (for P1xP1xP1 at radius 3: 588 rows against 2,744 columns)."""
+    exps = box_points(fan.rank, radius)
+    wall_chars = ((w.left, w.right, w.character) for w in walls(fan))
+    lat = RowLattice()
+    for row in _wall_rows(wall_chars, exps):
+        lat.insert(row)
+    return len(exps) * len(fan.max_cones) - lat.rank
 
 
 def vector_to_element(space: MemberSpace, vec) -> GkmElement:
@@ -221,13 +238,19 @@ def vector_to_element(space: MemberSpace, vec) -> GkmElement:
 
 
 def element_to_vector(space: MemberSpace, e: GkmElement) -> dict:
-    index = {ex: k for k, ex in enumerate(space.exps)}
+    return _box_vector(e, space.radius)
+
+
+def _box_vector(e: GkmElement, radius: int) -> dict:
+    """Coordinates of e in the radius box, laid out as in member_space."""
+    block = (2 * radius + 1) ** e.fan.rank
     vec = {}
     for i, c in enumerate(e.components):
         for exp, coef in c.terms.items():
-            if exp not in index:
+            k = box_index(exp, radius)
+            if k is None:
                 raise ValueError("element exponent outside the box")
-            vec[i * space.block + index[exp]] = coef
+            vec[i * block + k] = coef
     return vec
 
 
@@ -305,19 +328,19 @@ def box_stabilize(step, max_radius: int) -> RankReport:
                       conclusive=conclusive, history=tuple(history))
 
 
-def _augmentation_ideal_rank(fan: Fan, space: MemberSpace, inner: MemberSpace) -> int:
+def _augmentation_ideal_rank(fan: Fan, radius: int, inner: MemberSpace) -> int:
     """Rank of the span of (e^u - 1) * t for t in the inner member lattice
-    and u running over the radius-1 box, inside the outer box.
+    and u running over the radius-1 box, inside the radius box.
 
     Only the rank is needed, so the products go in sparsest first (ties in
-    shift order, then basis order), with column k of the outer space mapped
+    shift order, then basis order), with column k of the outer box mapped
     to column n_cols - 1 - k so the last column leads.  A first pass builds
     each product once and files its index under its length, in a C array;
     the second pass rebuilds the products length by length.  So neither
     the products nor one Python int per product are ever held at once.
     """
-    index = {e: k for k, e in enumerate(space.exps)}
-    last = space.block * len(fan.max_cones) - 1
+    block = (2 * radius + 1) ** fan.rank
+    last = block * len(fan.max_cones) - 1
     n_basis = len(inner.basis)
 
     def columns(u) -> array:
@@ -326,7 +349,7 @@ def _augmentation_ideal_rank(fan: Fan, space: MemberSpace, inner: MemberSpace) -
         for pos in range(inner.block * len(fan.max_cones)):
             cone, k = divmod(pos, inner.block)
             target = tuple(a + d for a, d in zip(inner.exps[k], u))
-            out.append(last - (cone * space.block + index[target]))
+            out.append(last - (cone * block + box_index(target, radius)))
         return out
 
     origin = columns((0,) * fan.rank)
@@ -360,15 +383,17 @@ def ordinary_k_rank(fan: Fan, max_radius: int = 5) -> RankReport:
     At box radius d the estimate is dim(members at d) minus the rank of
     (augmentation ideal) * (members at d-1) pushed into the d-box, stopped
     by box_stabilize.
+
+    Step d builds one member basis, at radius d-1, because the ideal reads
+    its vectors; the dimension at d comes from member_dim, which builds no
+    basis.  box_stabilize draws the steps lazily, so the basis at the top
+    radius, the largest and costliest kernel, is never built.
     """
-    inner = member_space(fan, 0)  # the radius d-1 space, carried over
 
     def step(d: int) -> tuple:
-        nonlocal inner
-        space = member_space(fan, d)
-        ideal_rank = _augmentation_ideal_rank(fan, space, inner)
-        inner = space
-        return d, space.dim, ideal_rank, space.dim - ideal_rank
+        dim = member_dim(fan, d)
+        ideal_rank = _augmentation_ideal_rank(fan, d, member_space(fan, d - 1))
+        return d, dim, ideal_rank, dim - ideal_rank
 
     return box_stabilize(step, max_radius)
 
@@ -598,7 +623,13 @@ def sr_surjectivity_probe(fan: Fan, max_degree: int = 3, mult_radius: int = 1,
                           sample_radius: int = 1, samples: int = 25,
                           seed: int = 0) -> dict:
     """Monomials of bounded total degree in the generators, multiplied by a
-    small box of characters, must span every sampled member over Z."""
+    small box of characters, must span every sampled member over Z.
+
+    The monomial images go into a lattice on the box wide enough for all
+    of them, indexed directly by box_index; no member basis is built there,
+    since membership in that lattice is all that is asked of the samples.
+    The only basis built is the sampling one, at sample_radius.
+    """
     xs, _ = sr_to_plp(fan)
     images = []
     for powers in _signed_compositions(len(fan.rays), max_degree):
@@ -610,28 +641,16 @@ def sr_surjectivity_probe(fan: Fan, max_degree: int = 3, mult_radius: int = 1,
     shift_box = box_points(fan.rank, mult_radius)
     need = max(img.support_radius() for img in images) + mult_radius
     need = max(need, sample_radius)
-    big = member_space(fan, need)
-    index = {e: k for k, e in enumerate(big.exps)}
+    block = (2 * need + 1) ** fan.rank
     lat = RowLattice()
     for img in images:
         for w in shift_box:
-            vec = {}
-            for i, comp in enumerate(img.components):
-                for exp, coef in comp.terms.items():
-                    shifted = tuple(a + b for a, b in zip(exp, w))
-                    key = i * big.block + index[shifted]
-                    v = vec.get(key, 0) + coef
-                    if v:
-                        vec[key] = v
-                    else:
-                        vec.pop(key, None)
-            lat.insert(vec)
+            # distinct exponents stay distinct under one shift, so no key repeats
+            lat.insert({i * block + box_index(tuple(a + b for a, b in zip(exp, w)), need): coef
+                        for i, comp in enumerate(img.components)
+                        for exp, coef in comp.terms.items()})
     space = member_space(fan, sample_radius)
     members = sample_members(space, samples, seed=seed)
-    hits = 0
-    for t in members:
-        vec = element_to_vector(big, t)
-        if lat.contains(vec):
-            hits += 1
+    hits = sum(lat.contains(_box_vector(t, need)) for t in members)
     return {"monomials": len(images), "samples": len(members), "hits": hits,
             "all_hit": hits == len(members)}

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from kfan import catalog
+from kfan import catalog, kring
+from kfan.fan import Fan
 from kfan.kring import (
     GkmElement,
     box_stabilize,
@@ -14,6 +16,7 @@ from kfan.kring import (
     element_to_vector,
     gkm_check,
     is_smooth_fan,
+    member_dim,
     member_space,
     minimal_nonfaces,
     ordinary_k_rank,
@@ -31,6 +34,24 @@ from kfan.laurent import LaurentPoly, box_points
 
 ACCEPTANCE = [catalog.p1(), catalog.p2(), catalog.p1xp1(), catalog.f1(), catalog.p112()]
 SMOOTH = [catalog.p1(), catalog.p2(), catalog.p1xp1(), catalog.f1()]
+
+
+def _p3() -> Fan:
+    return Fan(rank=3, rays=((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+               max_cones=tuple(itertools.combinations(range(4), 3)), name="P3")
+
+
+def _p1_cubed() -> Fan:
+    rays = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+    cones = tuple((a, 2 + b, 4 + c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
+    return Fan(rank=3, rays=rays, max_cones=cones, name="P1xP1xP1")
+
+
+def _polygon7() -> Fan:
+    # P1xP1 blown up three times: a smooth complete polygon with 7 rays
+    rays = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1))
+    return Fan(rank=2, rays=rays, max_cones=tuple((i, (i + 1) % 7) for i in range(7)),
+               name="polygon7")
 
 
 def test_element_ops_and_coercion():
@@ -111,6 +132,46 @@ def test_member_space_dims_frozen():
     assert member_space(catalog.p1(), 2).dim == 9
     assert member_space(catalog.p2(), 1).dim == 17
     assert member_space(catalog.p2(), 2).dim == 57
+
+
+@pytest.mark.parametrize("fan, max_radius", [
+    *((fan, 3) for fan in ACCEPTANCE + [catalog.hirzebruch(3), _polygon7()]),
+    (_p3(), 2), (_p1_cubed(), 2),
+], ids=lambda x: getattr(x, "name", str(x)))
+def test_member_dim_is_the_member_space_dim(fan, max_radius):
+    for d in range(max_radius + 1):
+        assert member_dim(fan, d) == member_space(fan, d).dim, (fan.name, d)
+
+
+def _kernel_radii(monkeypatch) -> list:
+    """Record the box radius of every wall kernel kring builds."""
+    radii = []
+    build = kring.wall_kernel
+
+    def recording(n_cones, wall_chars, exps):
+        radii.append(max(abs(x) for e in exps for x in e))
+        return build(n_cones, wall_chars, exps)
+
+    monkeypatch.setattr(kring, "wall_kernel", recording)
+    return radii
+
+
+def test_rank_builds_no_basis_at_the_top_radius(monkeypatch):
+    radii = _kernel_radii(monkeypatch)
+    rep = ordinary_k_rank(_p1_cubed())
+    assert len(rep.history) == 3
+    assert radii == [0, 1, 2]
+
+
+def test_sr_probe_builds_no_basis_above_the_sample_radius(monkeypatch):
+    radii = _kernel_radii(monkeypatch)
+    sr_surjectivity_probe(_p3(), sample_radius=1, seed=4)
+    assert radii and max(radii) <= 1
+
+
+def test_sr_probe_report_frozen():
+    assert sr_surjectivity_probe(_p3(), seed=4) == {
+        "monomials": 129, "samples": 25, "hits": 25, "all_hit": True}
 
 
 def test_seeded_samples_frozen():
@@ -298,19 +359,10 @@ def test_element_serialization_roundtrip():
 def test_ordinary_k_rank_histories_frozen_rank_three():
     # the ideal rank inserts its products in its own order; the estimates
     # (radius, member_dim, ideal_rank, estimate) must not move
-    from kfan.fan import Fan
-
-    p3 = Fan(rank=3, rays=((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
-             max_cones=((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)), name="P3")
-    cube = Fan(rank=3,
-               rays=((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
-               max_cones=tuple((a, 2 + b, 4 + c) for a in (0, 1) for b in (0, 1)
-                               for c in (0, 1)),
-               name="P1xP1xP1")
-    rep = ordinary_k_rank(p3)
+    rep = ordinary_k_rank(_p3())
     assert rep.history == ((1, 51, 26, 25), (2, 317, 313, 4), (3, 991, 987, 4))
     assert (rep.rank, rep.stabilized_at, rep.conclusive) == (4, 3, True)
-    rep = ordinary_k_rank(cube)
+    rep = ordinary_k_rank(_p1_cubed())
     assert rep.history == ((1, 125, 26, 99), (2, 729, 721, 8), (3, 2197, 2189, 8))
     assert (rep.rank, rep.stabilized_at, rep.conclusive) == (8, 3, True)
 
