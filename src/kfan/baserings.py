@@ -15,11 +15,12 @@ them); all structure lives on the ring object.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cellular import check_cellular
 from .fan import Fan, walls
-from .intlat import RowLattice
+from .intlat import RowLattice, RowSpan
 from .kring import box_stabilize, is_smooth_fan, plateau, wall_kernel
 from .laurent import (
     LaurentPoly,
@@ -56,6 +57,11 @@ class BaseRing(ABC):
 
     def mul(self, a, b):
         return a * b
+
+    def scale(self, a, n: int):
+        """n times a; the same value as mul(scalar(n), a).  Integers and
+        Laurent polynomials multiply by an int directly."""
+        return a * n
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -303,6 +309,9 @@ class ToricBase(BaseRing):
 
     def mul(self, a, b):
         return tuple(x * y for x, y in zip(a, b))
+
+    def scale(self, a, n):
+        return tuple(x * n for x in a)
 
     def is_member(self, a):
         if not isinstance(a, tuple) or len(a) != len(self.fan.max_cones):
@@ -588,6 +597,7 @@ def flag_rank_probe(cartan, parabolic_set, max_radius: int = 4) -> dict:
     # orbit sums, which generate them as a ring
     k_s = inv.scalar_radius
     mults = [(g, inv.augmentation(g)) for g in inv.scalars(k_s)]
+    box = lru_cache(maxsize=None)(inv.box_basis)  # each step re-reads the padded boxes
 
     def ideal_rank_in_box(d: int) -> int:
         inside = box_points(r, d)
@@ -604,9 +614,9 @@ def flag_rank_probe(cartan, parabolic_set, max_radius: int = 4) -> dict:
                         n_out += 1
                 for k, e in enumerate(inside):
                     col[e] = n_out + k
-                lat = RowLattice()
+                lat = RowSpan()
                 for g, aug in mults:
-                    for h in inv.box_basis(d + pad):
+                    for h in box(d + pad):
                         prod = g * h - aug * h
                         lat.insert({col[exp]: c for exp, c in prod.terms.items()})
                 yield sum(1 for c in lat.pivots if c >= n_out)
@@ -614,7 +624,7 @@ def flag_rank_probe(cartan, parabolic_set, max_radius: int = 4) -> dict:
         return plateau(pad_ranks())
 
     def step(d: int) -> tuple:
-        n_basis = len(inv.box_basis(d))
+        n_basis = len(box(d))
         ideal_rank = ideal_rank_in_box(d)
         return d, n_basis, ideal_rank, n_basis - ideal_rank
 
@@ -657,6 +667,9 @@ class CharRemap(BaseRing):
 
     def mul(self, a, b):
         return self.inner.mul(a, b)
+
+    def scale(self, a, n):
+        return self.inner.scale(a, n)
 
     def eq(self, a, b):
         return self.inner.eq(a, b)

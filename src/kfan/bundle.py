@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import Optional
 
 from .baserings import BaseRing, ToricBase
 from .catalog import hirzebruch, p1
 from .fan import Fan, walls
-from .intlat import RowLattice, sparse_kernel_basis
+from .intlat import RowLattice, RowSpan, sparse_kernel_basis
 from .kring import (
     GkmElement,
     RankReport,
@@ -127,10 +128,8 @@ def extended_check(e: ExtendedElement) -> tuple:
 def line_hom(base: BaseRing, p: LaurentPoly):
     """The ring map from fiber characters to base classes: e^u goes to the
     line class of u, extended additively."""
-    out = base.zero()
-    for u, c in p.terms.items():
-        out = base.add(out, base.mul(base.scalar(c), base.line_class(u)))
-    return out
+    terms = [base.scale(base.line_class(u), c) for u, c in p.terms.items()]
+    return reduce(base.add, terms) if terms else base.zero()
 
 
 def kunneth_realize(fan: Fan, base: BaseRing, b, p: GkmElement) -> ExtendedElement:
@@ -173,8 +172,7 @@ class ExtendedSpace:
             if not x:
                 continue
             k, i = divmod(pos, self.block)
-            comps[k] = self.base.add(
-                comps[k], self.base.mul(self.base.scalar(x), self.box[i]))
+            comps[k] = self.base.add(comps[k], self.base.scale(self.box[i], x))
         return ExtendedElement(self.fan, self.base, comps)
 
     def sample(self, count: int, seed: int = 0, coeff_bound: int = 3,
@@ -192,8 +190,14 @@ def extended_member_space(fan: Fan, base: BaseRing, radius: int,
     _validate_pair(fan, base)
     if aux_radius is None:
         aux_radius = radius + 1
-    bb = base.box_basis(radius)
-    ab = base.box_basis(aux_radius)
+    return _member_space(fan, base, radius, aux_radius,
+                         base.box_basis(radius), base.box_basis(aux_radius))
+
+
+def _member_space(fan: Fan, base: BaseRing, radius: int, aux_radius: int,
+                  bb: list, ab: list) -> ExtendedSpace:
+    """extended_member_space on box bases bb (radius) and ab (aux_radius)
+    the caller already holds."""
     ws = walls(fan)
     n_cones = len(fan.max_cones)
     blk = len(bb)
@@ -268,13 +272,17 @@ def extended_box_rank(fan: Fan, base: BaseRing, max_radius: int = 3,
     members.  Each step inserts the radius-d members into a copy() of that
     lattice, which leaves the shared one untouched; when d advances, the
     lattices and member spaces with radius below d are dropped, as no later
-    step reads them."""
+    step reads them.  The base box bases are built once per radius, as the
+    radius-r space reads those at r and r + 1.
+
+    Only ranks are read, so the ideal lattices are RowSpan echelons."""
     _validate_pair(fan, base)
+    box = lru_cache(maxsize=None)(base.box_basis)
     spaces = {}
 
     def space(r: int) -> ExtendedSpace:
         if r not in spaces:
-            spaces[r] = extended_member_space(fan, base, r)
+            spaces[r] = _member_space(fan, base, r, r + 1, box(r), box(r + 1))
         return spaces[r]
 
     k_s = base.scalar_radius
@@ -282,24 +290,11 @@ def extended_box_rank(fan: Fan, base: BaseRing, max_radius: int = 3,
             for s in base.scalars(k_s)] if k_s else []
     ideals = {}
 
-    def ideal(big: int) -> RowLattice:
+    def ideal(big: int) -> RowSpan:
         if big not in ideals:
-            coeff_radius = big + k_s
-            lat = RowLattice()
-            cof = space(big)
-            for row in cof.basis:
-                t = cof.to_element(row)
-                ct = element_coeffs(t, coeff_radius)
-                for s, aug in scal:
-                    vec = element_coeffs(s * t, coeff_radius)
-                    for pos, x in ct.items():
-                        v = vec.get(pos, 0) - aug * x
-                        if v:
-                            vec[pos] = v
-                        else:
-                            del vec[pos]
-                    if vec:
-                        lat.insert(vec)
+            lat = RowSpan()
+            for vec in _ideal_products(space(big), scal, big + k_s):
+                lat.insert(vec)
             ideals[big] = lat
         return ideals[big]
 
@@ -321,6 +316,24 @@ def extended_box_rank(fan: Fan, base: BaseRing, max_radius: int = 3,
         return d, members.dim, plateau(pad_estimates())
 
     return box_stabilize(step, max_radius)
+
+
+def _ideal_products(cof: ExtendedSpace, scal: list, coeff_radius: int):
+    """The nonzero rows coeffs(s*t) - aug*coeffs(t), for each cofactor row t
+    of cof and each (diagonal scalar s, its augmentation aug) in scal."""
+    for row in cof.basis:
+        t = cof.to_element(row)
+        ct = element_coeffs(t, coeff_radius)
+        for s, aug in scal:
+            vec = element_coeffs(s * t, coeff_radius)
+            for pos, x in ct.items():
+                v = vec.get(pos, 0) - aug * x
+                if v:
+                    vec[pos] = v
+                else:
+                    del vec[pos]
+            if vec:
+                yield vec
 
 
 # --- tensor-product surjectivity ---------------------------------------------------

@@ -8,12 +8,18 @@ package leans on:
 * saturated kernels, integer linear solving, exact rank and determinant,
 * quotient lattices (by the saturation of a sublattice) with a section,
 * primitive vectors and exact rational solving for barycentric work,
-* RowLattice, the sparse incremental echelon that the member-space,
-  ideal-rank and probe computations run on.
+* two sparse incremental echelons on {column: coeff} rows: RowLattice,
+  an exact Z-basis for kernels, member bases and membership probes, and
+  RowSpan, an echelon of the rational span for callers that read only a
+  rank or the pivot columns.
 
 IntMatrix and the normal forms above are dense and meant for the small
-matrices of fan geometry.  RowLattice works on sparse {column: coeff} rows
-and reduces each inserted row in place on one working copy.
+matrices of fan geometry.  Both sparse echelons reduce each inserted row
+in place on one working copy.  Neither has a proven bound on its entries.
+RowLattice's gcd pivoting lets them compound: on the ideal lattices of the
+horospherical datum A3, parabolic set {0,1}, embedding w3 they pass
+500,000 bits.  RowSpan stores primitive rows and keeps the same lattices
+under 20 bits.
 """
 
 from __future__ import annotations
@@ -454,25 +460,18 @@ def _ext_gcd(a: int, b: int) -> tuple:
     return old_r, old_s, old_t
 
 
-class RowLattice:
-    """Incremental echelon basis of the lattice spanned by inserted rows.
-
-    Rows are sparse {column: coeff} dicts.  The basis stays in echelon form
-    (one row per pivot column, positive leading entry), so the lattice rank
-    is the number of pivots and exact integer membership is a leading-term
-    reduction.  Insertions use gcd pivoting, which keeps entries from the
-    determinant blow-up of fraction-free elimination.
+class _Echelon:
+    """Shared shell of the two sparse echelons below: rows are {column:
+    coeff} dicts, one stored row per pivot column with a positive leading
+    entry, so the rank is the number of pivots.
 
     A row is copied once on entry and then reduced in place: pivot rows are
     subtracted into that one working dict, and a heap of its columns yields
-    the next leading column.  A row that becomes a pivot is stored as a
-    fresh compact dict.  Neither the caller's row nor any dict already
-    stored in `pivots` is ever mutated; the gcd branch replaces a pivot by a
-    new dict instead of editing it, so rows read out of `pivots` stay valid.
-
-    That is also what makes copy() cheap: it copies the `pivots` mapping
-    but shares the stored rows, and inserting into either lattice later
-    leaves the other one's pivots and rank as they were.
+    the next leading column.  Neither the caller's row nor any dict already
+    stored in `pivots` is ever mutated, so rows read out of `pivots` stay
+    valid.  That is also what makes copy() cheap: it copies the `pivots`
+    mapping but shares the stored rows, and inserting into either echelon
+    later leaves the other one's pivots and rank as they were.
     """
 
     __slots__ = ("pivots",)
@@ -480,9 +479,9 @@ class RowLattice:
     def __init__(self):
         self.pivots = {}
 
-    def copy(self) -> "RowLattice":
-        """An independent lattice with the same echelon basis."""
-        new = RowLattice()
+    def copy(self):
+        """An independent echelon with the same stored rows."""
+        new = type(self)()
         new.pivots = dict(self.pivots)
         return new
 
@@ -495,6 +494,24 @@ class RowLattice:
         if isinstance(row, dict):
             return {int(c): int(x) for c, x in row.items() if x}
         return {c: int(x) for c, x in enumerate(row) if x}
+
+
+class RowLattice(_Echelon):
+    """Incremental echelon basis of the Z-lattice spanned by inserted rows.
+
+    Use it where the lattice itself is the answer: saturated kernels
+    (sparse_kernel_basis), member bases, and exact integer membership by
+    leading-term reduction (contains).  A caller that reads only the rank
+    or the pivot columns wants RowSpan, which answers the same over Q.
+
+    Keeping an exact Z-basis takes gcd pivoting: when the pivot does not
+    divide the entry below it, the pivot row is replaced by an extended-gcd
+    combination (a new dict; stored rows are never edited) and the
+    remainder row is reduced again.  These combinations compound; see the
+    module docstring for a case where the entries pass 500,000 bits.
+    """
+
+    __slots__ = ()
 
     def insert(self, row) -> bool:
         """Add a row to the lattice; True when the rank grew."""
@@ -543,6 +560,59 @@ class RowLattice:
                 return False
             _sub_into(r, b // piv[c], piv, heap)
         return True
+
+
+class RowSpan(_Echelon):
+    """Incremental echelon of the rational span of inserted rows.
+
+    For callers that read only the rank or the pivot columns (the
+    member dimension, the augmentation-ideal ranks, the flag probe's
+    in-box pivot count): the rank of a Z-lattice is the rank of its
+    rational span, and the pivot columns of any echelon of it are the
+    same, so these answers equal RowLattice's.
+
+    When the pivot a does not divide the entry b, the working row is
+    scaled by a/gcd(a, b) and the pivot row subtracted; nothing is
+    replaced and no remainder row arises.  A row that becomes a pivot is
+    stored as its primitive part (content divided out, leading entry
+    positive); a row of content 1 is stored as it is, as RowLattice
+    stores it.
+    """
+
+    __slots__ = ()
+
+    def insert(self, row) -> bool:
+        """Add a row to the span; True when the rank grew."""
+        pivots = self.pivots
+        r = self._sparse(row)
+        heap = list(r)
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            b = r.get(c)
+            if b is None:
+                continue  # stale entry: the column was cancelled
+            piv = pivots.get(c)
+            if piv is None:
+                g = gcd(*r.values())
+                if b < 0:
+                    g = -g
+                if g == 1:
+                    pivots[c] = dict(r)
+                else:
+                    pivots[c] = {k: v // g for k, v in r.items()}
+                return True
+            a = piv[c]
+            if b % a:
+                g = gcd(a, b)
+                s = a // g
+                for k in r:
+                    r[k] *= s
+                f = b // g
+            else:
+                f = b // a
+            _sub_into(r, f, piv, heap)
+        return False
 
 
 def _sub_into(r: dict, f: int, p: dict, heap: list) -> None:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .cellular import check_cellular
 from .fan import Fan, all_cones, is_smooth_cone, walls
-from .intlat import RowLattice, solve_rational, sparse_kernel_basis
+from .intlat import RowLattice, RowSpan, solve_rational, sparse_kernel_basis
 from .laurent import (
     LaurentPoly,
     box_index,
@@ -218,7 +218,7 @@ def member_dim(fan: Fan, radius: int) -> int:
     (for P1xP1xP1 at radius 3: 588 rows against 2,744 columns)."""
     exps = box_points(fan.rank, radius)
     wall_chars = ((w.left, w.right, w.character) for w in walls(fan))
-    lat = RowLattice()
+    lat = RowSpan()
     for row in _wall_rows(wall_chars, exps):
         lat.insert(row)
     return len(exps) * len(fan.max_cones) - lat.rank
@@ -370,7 +370,7 @@ def _augmentation_ideal_rank(fan: Fan, radius: int, inner: MemberSpace) -> int:
     by_length = {}
     for k in range(len(shifted) * n_basis):
         by_length.setdefault(len(product(k)), array("I")).append(k)
-    lat = RowLattice()
+    lat = RowSpan()
     for length in sorted(by_length):
         for k in by_length[length]:
             lat.insert(product(k))

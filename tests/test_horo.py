@@ -3,7 +3,13 @@ import random
 import pytest
 
 from kfan.baserings import FlagBase
-from kfan.bundle import extended_check, extended_relation_image
+from kfan.bundle import (
+    _ideal_products,
+    diagonal,
+    extended_check,
+    extended_member_space,
+    extended_relation_image,
+)
 from kfan.catalog import p1, p1xp1
 from kfan.fan import parse_fan
 from kfan.horo import (
@@ -20,6 +26,7 @@ from kfan.horo import (
     sl3_datum,
     validate_horo,
 )
+from kfan.intlat import RowSpan
 from kfan.laurent import LaurentPoly
 
 A2 = [[2, -1], [-1, 2]]
@@ -66,11 +73,31 @@ def test_sl2_rank_frozen():
      ((1, 12, 9), (2, 45, 12), (3, 112, 12))),
     (HorosphericalDatum.make(A3, [1, 2], p1(), [(1, 0, 0)]),
      ((1, 11, 8), (2, 38, 8))),
-], ids=["sl2", "sl3", "A3{0,2}w2", "A3{1,2}w1"])
+    (HorosphericalDatum.make(A3, [0, 1], p1(), [(0, 0, 1)]),
+     ((1, 11, 8), (2, 38, 8))),
+], ids=["sl2", "sl3", "A3{0,2}w2", "A3{1,2}w1", "A3{0,1}w3"])
 def test_rank_histories_frozen(datum, history):
     rep = horo_rank(datum)
     assert rep.history == history
     assert rep.conclusive and rep.rank == history[-1][2]
+
+
+def test_a3_01_w3_ideal_pivots_stay_small():
+    """The radius-2 augmentation-ideal rows of A3 {0,1} w3, inserted as
+    extended_box_rank inserts them.  Under RowLattice's gcd pivoting the
+    pivot entries pass 500,000 bits within the first 60 of these 114 rows;
+    the rational echelon keeps every entry within a machine word."""
+    fan, base = k_horospherical(HorosphericalDatum.make(A3, [0, 1], p1(), [(0, 0, 1)]))
+    k_s = base.scalar_radius
+    scal = [(diagonal(fan, base, s), base.augmentation(s)) for s in base.scalars(k_s)]
+    span = RowSpan()
+    inserted = 0
+    for vec in _ideal_products(extended_member_space(fan, base, 2), scal, 2 + k_s):
+        span.insert(vec)
+        inserted += 1
+    assert inserted == 114 and span.rank > 0
+    widest = max(abs(x).bit_length() for row in span.pivots.values() for x in row.values())
+    assert widest < 64
 
 
 def test_sl2_presentation():

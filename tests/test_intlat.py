@@ -7,6 +7,7 @@ use seeded randomness so failures reproduce.
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
@@ -26,6 +27,7 @@ from kfan.intlat import (
     solve_rational,
     sparse_kernel_basis,
     RowLattice,
+    RowSpan,
 )
 
 
@@ -256,10 +258,30 @@ def test_row_lattice_rank_matches_dense():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = random_matrix(rng, rows, cols)
-        lat = RowLattice()
+        lat, span = RowLattice(), RowSpan()
         for row in m.data:
             lat.insert(row)
-        assert lat.rank == rank_of_rows(m.data)
+            span.insert(row)
+        assert lat.rank == span.rank == rank_of_rows(m.data)
+        # a Q-echelon of the same span pivots on the same columns
+        assert sorted(span.pivots) == sorted(lat.pivots)
+        for c, row in span.pivots.items():
+            assert row[c] > 0 and gcd(*row.values()) == 1
+
+
+def test_row_span_copy_is_independent():
+    rng = random.Random(9)
+    span = RowSpan()
+    for _ in range(8):
+        span.insert(_random_sparse_row(rng, 12, big=True))
+    frozen = {c: dict(p) for c, p in span.pivots.items()}
+    rank = span.rank
+    twin = span.copy()
+    assert type(twin) is RowSpan
+    for _ in range(20):
+        twin.insert(_random_sparse_row(rng, 16, big=True))
+    assert twin.rank > rank
+    assert span.rank == rank and span.pivots == frozen
 
 
 def test_row_lattice_membership():
