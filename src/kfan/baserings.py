@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cellular import check_cellular
-from .fan import Fan, walls
+from .fan import Fan, is_json_int, json_int_rows, json_ints, parse_fan, walls
 from .intlat import RowLattice, RowSpan
 from .kring import box_stabilize, is_smooth_fan, plateau, wall_kernel
 from .laurent import (
@@ -186,7 +186,7 @@ class PointBase(BaseRing):
         return a
 
     def deserialize(self, obj):
-        if not isinstance(obj, int):
+        if not is_json_int(obj):
             raise ValueError("point base elements are integers")
         return obj
 
@@ -716,6 +716,15 @@ class CharRemap(BaseRing):
                 "embedding": [list(c) for c in self.columns]}
 
 
+def _json_count(obj, key: str, default=None):
+    """obj[key] when it is a nonnegative integer, default when key is absent."""
+    if key not in obj:
+        return default
+    if not is_json_int(obj[key]) or obj[key] < 0:
+        raise ValueError(f"{key} must be a nonnegative integer")
+    return obj[key]
+
+
 def base_from_obj(obj) -> BaseRing:
     """Build a base ring from its JSON description.
 
@@ -723,37 +732,36 @@ def base_from_obj(obj) -> BaseRing:
     line_data?, base_embed?}, flag {cartan, parabolic_set?}, and remap
     {inner, embedding} wrapping any of the others.
     """
-    from .fan import parse_fan
-
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("base ring JSON must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "point":
-        return PointBase(int(obj.get("char_rank", 0)))
+        return PointBase(_json_count(obj, "char_rank", 0))
     if kind == "trivial":
         if "char_rank" not in obj:
             raise ValueError("trivial base needs char_rank")
-        return TrivialBase(int(obj["char_rank"]))
+        return TrivialBase(_json_count(obj, "char_rank"))
     if kind == "toric":
         if "fan" not in obj:
             raise ValueError("toric base needs a fan")
         line_data = obj.get("line_data")
         if line_data is not None:
-            line_data = [[tuple(int(x) for x in e) for e in gen]
-                         for gen in line_data]
+            if not isinstance(line_data, list):
+                raise ValueError("line_data must be a list of generators")
+            line_data = [json_int_rows(gen, "line_data generator") for gen in line_data]
         base_embed = obj.get("base_embed")
         if base_embed is not None:
-            base_embed = [tuple(int(x) for x in row) for row in base_embed]
-        coeff_rank = obj.get("coeff_rank")
-        return ToricBase(parse_fan(obj["fan"]),
-                         coeff_rank=None if coeff_rank is None else int(coeff_rank),
+            base_embed = json_int_rows(base_embed, "base_embed")
+        return ToricBase(parse_fan(obj["fan"]), coeff_rank=_json_count(obj, "coeff_rank"),
                          line_data=line_data, base_embed=base_embed)
     if kind == "flag":
         if "cartan" not in obj:
             raise ValueError("flag base needs a Cartan matrix")
-        return FlagBase(obj["cartan"], obj.get("parabolic_set", []))
+        return FlagBase(json_int_rows(obj["cartan"], "cartan"),
+                        json_ints(obj.get("parabolic_set", []), "parabolic_set"))
     if kind == "remap":
         if "inner" not in obj or "embedding" not in obj:
             raise ValueError("remap base needs inner and embedding")
-        return CharRemap(base_from_obj(obj["inner"]), obj["embedding"])
+        return CharRemap(base_from_obj(obj["inner"]),
+                         json_int_rows(obj["embedding"], "embedding"))
     raise ValueError(f"unknown base ring kind {kind!r}")

@@ -343,16 +343,20 @@ def kunneth_surjectivity_probe(fan: Fan, base: BaseRing, base_radius: int = 2,
                                fiber_radius: int = 2, sample_radius: int = 1,
                                samples: int = 25, seed: int = 0) -> dict:
     """Sampled extended members must be integer combinations of realized
-    tensors of box base classes with box fiber members."""
+    tensors of box base classes with box fiber members.  Each base box
+    basis is built once, as the sampled space reads the one at
+    sample_radius + 1 (by default the base_radius one)."""
     _validate_pair(fan, base)
     fib = member_space(fan, fiber_radius)
-    base_box = base.box_basis(base_radius)
+    box = lru_cache(maxsize=None)(base.box_basis)
+    base_box = box(base_radius)
     realized = []
     for vec in fib.basis:
         p = vector_to_element(fib, vec)
         for b in base_box:
             realized.append(kunneth_realize(fan, base, b, p))
-    space = extended_member_space(fan, base, sample_radius)
+    space = _member_space(fan, base, sample_radius, sample_radius + 1,
+                          box(sample_radius), box(sample_radius + 1))
     coeff_radius = max([sample_radius]
                        + [max(base.support_radius(c) for c in e.comps)
                           for e in realized])

@@ -93,6 +93,27 @@ class Fan:
         return IntMatrix.from_columns([self.rays[i] for i in cone.ray_indices], rows=self.rank)
 
 
+def is_json_int(x) -> bool:
+    """The one integer check of JSON input: an int, never a bool (JSON
+    true/false decode as bools, which Python counts as ints) and never a
+    float, integral or not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def json_ints(value, what: str) -> tuple:
+    """A JSON list of integers (see is_json_int) as a tuple."""
+    if not isinstance(value, list) or not all(map(is_json_int, value)):
+        raise ValueError(f"{what} must be a list of integers")
+    return tuple(value)
+
+
+def json_int_rows(value, what: str) -> list:
+    """A JSON list of integer lists as a list of tuples."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integer lists")
+    return [json_ints(row, what) for row in value]
+
+
 def parse_fan(source) -> Fan:
     """Parse a fan from JSON text / bytes / an already-decoded dict.
 
@@ -112,11 +133,11 @@ def parse_fan(source) -> Fan:
         if key not in obj:
             raise ValueError(f"fan JSON missing {key!r}")
     rank = obj["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if not is_json_int(rank) or rank < 1:
         raise ValueError("fan rank must be a positive integer")
     rays = []
     for i, r in enumerate(obj["rays"]):
-        if not isinstance(r, list) or len(r) != rank or not all(isinstance(x, int) for x in r):
+        if not isinstance(r, list) or len(r) != rank or not all(map(is_json_int, r)):
             raise ValueError(f"ray {i} must be a list of {rank} integers")
         if not any(r):
             raise ValueError(f"ray {i} is zero")
@@ -126,7 +147,7 @@ def parse_fan(source) -> Fan:
         rays.append(p)
     cones = []
     for k, c in enumerate(obj["max_cones"]):
-        if not isinstance(c, list) or not all(isinstance(x, int) for x in c):
+        if not isinstance(c, list) or not all(map(is_json_int, c)):
             raise ValueError(f"max cone {k} must be a list of ray indices")
         if len(set(c)) != len(c):
             raise ValueError(f"max cone {k} repeats a ray index")

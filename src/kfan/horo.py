@@ -24,7 +24,7 @@ from .bundle import (
 )
 from .catalog import p1
 from .cellular import check_cellular
-from .fan import Fan, fan_to_json, parse_fan
+from .fan import Fan, fan_to_json, json_int_rows, json_ints, parse_fan
 from .intlat import IntMatrix, rank as int_rank
 from .kring import RankReport
 
@@ -151,5 +151,7 @@ def datum_from_obj(obj) -> HorosphericalDatum:
     for key in ("cartan", "parabolic_set", "fan", "char_embedding"):
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
-    return HorosphericalDatum.make(obj["cartan"], obj["parabolic_set"],
-                                   parse_fan(obj["fan"]), obj["char_embedding"])
+    return HorosphericalDatum.make(json_int_rows(obj["cartan"], "cartan"),
+                                   json_ints(obj["parabolic_set"], "parabolic_set"),
+                                   parse_fan(obj["fan"]),
+                                   json_int_rows(obj["char_embedding"], "char_embedding"))

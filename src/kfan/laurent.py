@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .fan import Cone, Fan
+from .fan import Cone, Fan, is_json_int
 
 
 class LaurentPoly:
@@ -394,7 +394,7 @@ def poly_from_obj(rank: int, obj) -> LaurentPoly:
         if not isinstance(item, dict) or "exp" not in item or "coef" not in item:
             raise ValueError("each term needs exp and coef")
         exp = item["exp"]
-        if not isinstance(exp, list) or len(exp) != rank or not all(isinstance(x, int) for x in exp):
+        if not isinstance(exp, list) or len(exp) != rank or not all(map(is_json_int, exp)):
             raise ValueError(f"term exponent must be a list of {rank} integers")
         coef = item["coef"]
         if isinstance(coef, str):
@@ -402,7 +402,7 @@ def poly_from_obj(rank: int, obj) -> LaurentPoly:
                 coef = int(coef)
             except ValueError as exc:
                 raise ValueError(f"bad coefficient {coef!r}") from exc
-        elif not isinstance(coef, int):
+        elif not is_json_int(coef):
             raise ValueError("coefficient must be an integer or decimal string")
         key = tuple(exp)
         terms[key] = terms.get(key, 0) + coef

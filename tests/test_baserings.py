@@ -9,6 +9,7 @@ from kfan.baserings import (
     PointBase,
     ToricBase,
     TrivialBase,
+    base_from_obj,
     flag_rank_probe,
     simple_reflection,
     weyl_group_order,
@@ -56,6 +57,9 @@ def test_point_base_is_equality():
     assert ring.scalar(-3) == -3
     assert ring.coeff_vector(7, 1) == {0: 7}
     assert ring.deserialize(ring.serialize(9)) == 9
+    for bad in (True, 9.0):
+        with pytest.raises(ValueError):
+            ring.deserialize(bad)
     with pytest.raises(ValueError):
         ring.line_class((1,))
 
@@ -552,3 +556,35 @@ def test_coeff_vector_rejects_exponents_outside_the_box():
     # an exponent of the wrong length is not in the box either
     with pytest.raises(ValueError, match=msg):
         TrivialBase(2).coeff_vector(LaurentPoly.monomial((0, 0, 0)), 1)
+
+
+P1_JSON = {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "point", "char_rank": True},
+    {"kind": "trivial", "char_rank": 2.9},
+    {"kind": "trivial", "char_rank": True},
+    {"kind": "trivial", "char_rank": -1},
+    {"kind": "toric", "fan": P1_JSON, "coeff_rank": 2.0},
+    {"kind": "toric", "fan": P1_JSON, "coeff_rank": 2, "line_data": [[[0, True], [1, 1]]]},
+    {"kind": "toric", "fan": P1_JSON, "coeff_rank": 2, "line_data": [[[0, 1.5], [1, 1]]]},
+    {"kind": "toric", "fan": P1_JSON, "coeff_rank": 2, "base_embed": [[1, False]]},
+    {"kind": "flag", "cartan": [[2.5, -1], [-1, 2]]},
+    {"kind": "flag", "cartan": [[2, -1], [-1, 2]], "parabolic_set": [True]},
+    {"kind": "remap", "inner": {"kind": "trivial", "char_rank": 1}, "embedding": [[1.5]]},
+], ids=["point-bool", "trivial-float", "trivial-bool", "trivial-negative", "toric-float-rank",
+        "line-data-bool", "line-data-float", "base-embed-bool", "flag-float-cartan",
+        "flag-bool-parabolic", "remap-float-embedding"])
+def test_base_from_obj_rejects_non_integers(obj):
+    with pytest.raises(ValueError):
+        base_from_obj(obj)
+
+
+def test_base_from_obj_reads_integers():
+    assert base_from_obj({"kind": "point"}).char_rank == 0
+    assert base_from_obj({"kind": "trivial", "char_rank": 2}).char_rank == 2
+    ring = base_from_obj({"kind": "toric", "fan": P1_JSON, "coeff_rank": 2,
+                          "line_data": [[[0, 1], [1, 1]]], "base_embed": [[1, 0]]})
+    assert (ring.coeff_rank, ring.line_data, ring.base_embed) == (
+        2, (((0, 1), (1, 1)),), ((1, 0),))

@@ -195,6 +195,18 @@ def test_kunneth_probe_all_hit():
     assert rep["all_hit"], rep
 
 
+def test_kunneth_probe_builds_each_box_basis_once(monkeypatch):
+    fiber, base = hirzebruch_fiber_base(1)
+    built = []
+    box_basis = base.box_basis
+    monkeypatch.setattr(base, "box_basis", lambda r: built.append(r) or box_basis(r))
+    kunneth_surjectivity_probe(fiber, base)
+    assert sorted(built) == [1, 2]
+    built.clear()
+    kunneth_surjectivity_probe(fiber, base, base_radius=3, sample_radius=1)
+    assert sorted(built) == [1, 2, 3]
+
+
 def test_presentation_relations_vanish():
     fiber, base = hirzebruch_fiber_base(1)
     gens, cert, rels = bundle_presentation(fiber, base)

@@ -45,8 +45,14 @@ def test_exit_code_contract(tmp_path, capsys):
     (["sr", "p2", "--degree", "-1"], "--degree"),
     (["crosscheck", "--hirzebruch", "1", "--box", "-1"], "--box"),
     (["basis", "p2", "--samples", "-1"], "--samples"),
+    # JSON floats and booleans are not integers
+    (["bundle", '{"fiber":"p2","base":{"kind":"trivial","char_rank":2.9}}'],
+     "char_rank"),
+    (["rank", '{"rank":true,"rays":[[1],[-1]],"max_cones":[[0],[1]]}'], "rank"),
+    (["gkm-check", "p1", '[[{"exp":[0],"coef":true}],[{"exp":[0],"coef":1}]]'],
+     "coefficient"),
 ], ids=["invalid-fan", "negative-twist", "fiber-rank-mismatch", "negative-degree",
-        "negative-box", "negative-samples"])
+        "negative-box", "negative-samples", "float-char-rank", "bool-rank", "bool-coef"])
 def test_malformed_input_exits_2_with_message(capsys, argv, message):
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -56,6 +56,14 @@ def test_parse_rejects_malformed():
         parse_fan({"rank": 2, "rays": [[0, 0], [1, 0]], "max_cones": [[0, 1]]})
     with pytest.raises(ValueError):
         parse_fan({"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 5]]})
+    # JSON true/false and floats are not integers
+    for src in ({"rank": True, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
+                {"rank": 1.0, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
+                {"rank": 1, "rays": [[True], [-1]], "max_cones": [[0], [1]]},
+                {"rank": 1, "rays": [[1.0], [-1]], "max_cones": [[0], [1]]},
+                {"rank": 1, "rays": [[1], [-1]], "max_cones": [[False], [1]]}):
+        with pytest.raises(ValueError):
+            parse_fan(src)
 
 
 def test_fan_rejects_dependent_cone_rays():

@@ -193,3 +193,9 @@ def test_serialization_roundtrip():
         datum_from_obj({"cartan": [[2]]})
     with pytest.raises(ValueError):
         datum_from_obj([1, 2])
+    # JSON true/false and floats are not integers
+    obj = datum_to_obj(sl2_basic_datum())
+    for key, bad in (("cartan", [[2.0]]), ("parabolic_set", [False]),
+                     ("char_embedding", [[True]])):
+        with pytest.raises(ValueError):
+            datum_from_obj({**obj, key: bad})

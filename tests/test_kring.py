@@ -5,6 +5,7 @@ import pytest
 
 from kfan import catalog, kring
 from kfan.fan import Fan
+from kfan.intlat import RowSpan
 from kfan.kring import (
     GkmElement,
     box_stabilize,
@@ -30,7 +31,7 @@ from kfan.kring import (
     vector_to_element,
     verify_generation,
 )
-from kfan.laurent import LaurentPoly, box_points
+from kfan.laurent import LaurentPoly, box_index, box_points
 
 ACCEPTANCE = [catalog.p1(), catalog.p2(), catalog.p1xp1(), catalog.f1(), catalog.p112()]
 SMOOTH = [catalog.p1(), catalog.p2(), catalog.p1xp1(), catalog.f1()]
@@ -365,6 +366,57 @@ def test_ordinary_k_rank_histories_frozen_rank_three():
     rep = ordinary_k_rank(_p1_cubed())
     assert rep.history == ((1, 125, 26, 99), (2, 729, 721, 8), (3, 2197, 2189, 8))
     assert (rep.rank, rep.stabilized_at, rep.conclusive) == (8, 3, True)
+
+
+def _full_shift_ideal_rank(fan, radius, inner):
+    """Oracle: every shift u != 0 of the radius-1 box times every inner
+    basis vector, (e^u - 1) * b pushed into the radius box."""
+    block = (2 * radius + 1) ** fan.rank
+    lat = RowSpan()
+    for u in box_points(fan.rank, 1):
+        if not any(u):
+            continue
+        for b in inner.basis:
+            row = {}
+            for pos, x in b.items():
+                cone, k = divmod(pos, inner.block)
+                exp = inner.exps[k]
+                moved = tuple(a + c for a, c in zip(exp, u))
+                for e, y in ((moved, x), (exp, -x)):
+                    col = cone * block + box_index(e, radius)
+                    row[col] = row.get(col, 0) + y
+            lat.insert({c: y for c, y in row.items() if y})
+    return lat.rank
+
+
+IDEAL_ORACLE_CASES = [
+    (fan, d)
+    for fan, top in [(catalog.p1(), 4), (catalog.p2(), 4), (catalog.p1xp1(), 4),
+                     (catalog.f1(), 4), (catalog.p112(), 4), (catalog.hirzebruch(3), 4),
+                     (catalog.hirzebruch(5), 4), (_polygon7(), 4), (_p3(), 2),
+                     (_p1_cubed(), 2)]
+    for d in range(1, top + 1)
+]
+
+
+@pytest.mark.parametrize("fan, radius", IDEAL_ORACLE_CASES,
+                         ids=[f"{f.name}-d{d}" for f, d in IDEAL_ORACLE_CASES])
+def test_augmentation_ideal_rank_matches_full_shift_oracle(fan, radius):
+    # radius 1 has inner radius 0, where every basis vector touches every face
+    inner = member_space(fan, radius - 1)
+    assert (kring._augmentation_ideal_rank(fan, radius, inner)
+            == _full_shift_ideal_rank(fan, radius, inner))
+
+
+@pytest.mark.parametrize("fan, inserts", [(_p1_cubed(), 1356), (_p3(), 860)],
+                         ids=["P1xP1xP1", "P3"])
+def test_augmentation_ideal_inserts_only_kept_rows(monkeypatch, fan, inserts):
+    # the full shift set inserts 3,250 rows for P1xP1xP1 and 1,326 for P3
+    calls = []
+    insert = RowSpan.insert
+    monkeypatch.setattr(RowSpan, "insert", lambda self, row: calls.append(1) or insert(self, row))
+    kring._augmentation_ideal_rank(fan, 2, member_space(fan, 1))
+    assert len(calls) == inserts
 
 
 def test_box_stabilize_without_plateau_is_inconclusive():

@@ -302,6 +302,11 @@ def test_serialization_rejects_malformed():
         poly_from_obj(1, [{"exp": [1], "coef": "x"}])
     with pytest.raises(ValueError):
         poly_from_obj(1, [{"coef": "1"}])
+    # JSON true/false and floats are not integers
+    for term in ({"exp": [True], "coef": 1}, {"exp": [1.0], "coef": 1},
+                 {"exp": [1], "coef": True}, {"exp": [1], "coef": 2.0}):
+        with pytest.raises(ValueError):
+            poly_from_obj(1, [term])
 
 
 def test_box_points():
