@@ -13,6 +13,7 @@ from .baserings import (
     FlagBase,
     PointBase,
     ToricBase,
+    TrivialBase,
     base_from_obj,
     flag_rank_probe,
     simple_reflection,
@@ -61,8 +62,6 @@ from .horo import (
     HorosphericalDatum,
     datum_from_obj,
     datum_to_obj,
-    horo_check,
-    horo_presentation,
     horo_rank,
     k_horospherical,
     sl2_basic_datum,
@@ -92,11 +91,9 @@ from .kring import (
     minimal_nonfaces,
     ordinary_k_rank,
     plp_check,
-    relation_image,
     sample_members,
     sr_presentation,
     sr_surjectivity_probe,
-    sr_to_plp,
     verify_generation,
 )
 from .laurent import LaurentPoly, box_points, divides, euler_class

@@ -270,14 +270,14 @@ class ToricBase(BaseRing):
         if base_embed is None:
             base_embed = [tuple(1 if j == i else 0 for j in range(self.coeff_rank))
                           for i in range(fan.rank)]
-        self.base_embed = tuple(tuple(int(x) for x in row) for row in base_embed)
+        self.base_embed = tuple(json_ints(row, "base_embed") for row in base_embed)
         if len(self.base_embed) != fan.rank or any(len(r) != self.coeff_rank
                                                    for r in self.base_embed):
             raise ValueError("base embedding must map fan characters to the "
                              "coefficient lattice")
         line_data = line_data or []
         self.char_rank = len(line_data)
-        self.line_data = tuple(tuple(tuple(int(x) for x in exp) for exp in per_cone)
+        self.line_data = tuple(tuple(json_ints(exp, "line_data") for exp in per_cone)
                                for per_cone in line_data)
         n_cones = len(fan.max_cones)
         for per_cone in self.line_data:
@@ -438,7 +438,7 @@ class ToricBase(BaseRing):
 
 
 def _validate_cartan(cartan) -> tuple:
-    cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+    cartan = tuple(json_ints(row, "cartan") for row in cartan)
     r = len(cartan)
     if any(len(row) != r for row in cartan):
         raise ValueError("Cartan matrix must be square")
@@ -502,7 +502,7 @@ class FlagBase(TrivialBase):
         self.cartan = _validate_cartan(cartan)
         self.rank = len(self.cartan)
         self.char_rank = self.rank
-        ps = sorted(set(int(i) for i in parabolic_set))
+        ps = sorted(set(json_ints(tuple(parabolic_set), "parabolic_set")))
         if ps and (ps[0] < 0 or ps[-1] >= self.rank):
             raise ValueError("parabolic set indexes simple roots")
         self.parabolic_set = tuple(ps)
@@ -641,7 +641,7 @@ class CharRemap(BaseRing):
 
     def __init__(self, inner: BaseRing, embedding: Sequence[Sequence[int]]):
         self.inner = inner
-        cols = [tuple(int(x) for x in col) for col in embedding]
+        cols = [json_ints(col, "embedding") for col in embedding]
         if any(len(c) != inner.char_rank for c in cols):
             raise ValueError("embedding columns must be characters of the "
                              "inner ring")

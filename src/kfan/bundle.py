@@ -31,7 +31,6 @@ from .kring import (
     sample_members,
     sample_vectors,
     sr_presentation,
-    sr_to_plp,
     vector_to_element,
 )
 from .laurent import LaurentPoly
@@ -376,17 +375,17 @@ def kunneth_surjectivity_probe(fan: Fan, base: BaseRing, base_radius: int = 2,
 
 def bundle_presentation(fan: Fan, base: BaseRing) -> tuple:
     """Monomial presentation of the extended ring: the fiber presentation
-    with every character exponential replaced by its base line class.
+    with every character exponential replaced by its base line class.  Over
+    TrivialBase(fan.rank) this is the fan's own presentation.
 
     Returns (generators, certificate, relations); generator j restricts to
     the line class of the dual character on cones containing ray j and to
     one elsewhere."""
     _validate_pair(fan, base)
     pres = sr_presentation(fan)
-    _, certificate = sr_to_plp(fan)
-    gens = [generator_power(fan, base, certificate, j, 1)
+    gens = [generator_power(fan, base, pres.certificate, j, 1)
             for j in range(len(fan.rays))]
-    return gens, certificate, pres.relations
+    return gens, pres.certificate, pres.relations
 
 
 def generator_power(fan: Fan, base: BaseRing, certificate: dict, j: int,

@@ -13,11 +13,9 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .fan import Cone, Fan, all_cones, barycentric, is_complete, star_quotient
-from .intlat import solve_rational
 
 
 def is_generic(f: Fan, v: Sequence) -> bool:
@@ -39,30 +37,6 @@ def distinguished_face(f: Fan, cone_index: int, v: Sequence) -> Cone:
         raise ValueError("vector is not generic for this cone")
     rays = tuple(r for r, c in zip(cone.ray_indices, coords) if c < 0)
     return Cone(rays)
-
-
-def distinguished_face_bruteforce(f: Fan, cone_index: int, v: Sequence) -> Cone:
-    """Independent characterization used as a test oracle: the inclusion-wise
-    minimal face tau of sigma with v in span(tau) + sigma.
-
-    Enumerates every face and solves the membership exactly; asserts the
-    minimal face is unique.
-    """
-    import itertools
-
-    cone = f.max_cones[cone_index]
-    n = len(cone.ray_indices)
-    # rays are a rational basis, so membership in span(tau) + sigma reduces
-    # to the unique expansion having nonnegative coefficients off tau
-    coords = solve_rational(f.ray_matrix(cone), [Fraction(x) for x in v])
-    hits = []
-    for r in range(n + 1):
-        for subset in itertools.combinations(range(n), r):
-            if all(coords[j] >= 0 for j in range(n) if j not in subset):
-                hits.append(frozenset(subset))
-    minimal = [h for h in hits if not any(o < h for o in hits)]
-    assert len(minimal) == 1, "minimal face is not unique"
-    return Cone(tuple(cone.ray_indices[j] for j in sorted(minimal[0])))
 
 
 def cell_order(f: Fan, v: Sequence):

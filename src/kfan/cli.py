@@ -19,7 +19,7 @@ import json
 import sys
 import time
 
-from .baserings import base_from_obj
+from .baserings import TrivialBase, base_from_obj
 from .bundle import (
     bundle_presentation,
     extended_box_rank,
@@ -46,10 +46,7 @@ from .kring import (
     gkm_check,
     ordinary_k_rank,
     plp_check,
-    relation_image,
-    sr_presentation,
     sr_surjectivity_probe,
-    sr_to_plp,
     verify_generation,
 )
 
@@ -268,24 +265,11 @@ def _cmd_rank(args):
 def _cmd_sr(args):
     f = load_fan(args.fan, trust=args.trust_fan)
     try:
-        pres = sr_presentation(f)
-        xs, cert = sr_to_plp(f)
+        _, result = _presentation_fields(f, TrivialBase(f.rank))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    images_zero = []
-    for rel in pres.relations:
-        img = relation_image(f, xs, rel)
-        images_zero.append(all(c.is_zero() for c in img.components))
-    probe = sr_surjectivity_probe(f, max_degree=args.degree,
-                                  samples=args.samples, seed=args.seed)
-    result = {
-        "n_generators": pres.n_generators,
-        "relations": list(pres.relations),
-        "certificate": {f"{c},{r}": list(u) for (c, r), u in sorted(cert.items())},
-        "all_images_zero": all(images_zero),
-        "images_zero": images_zero,
-        "surjectivity": probe,
-    }
+    result["surjectivity"] = sr_surjectivity_probe(f, max_degree=args.degree,
+                                                   samples=args.samples, seed=args.seed)
     payload = {"fan": fan_to_json(f), "degree": args.degree, "samples": args.samples}
     return payload, {"fan": _fan_summary(f)}, result, True
 
@@ -307,22 +291,27 @@ def _bundle_pair(spec_obj):
     return fiber, base
 
 
-def _presentation_report(fan, base):
-    try:
-        gens, cert, rels = bundle_presentation(fan, base)
-        images_zero = [extended_relation_image(fan, base, cert, rel).is_zero()
-                       for rel in rels]
-        gens_member = all(extended_check(g)[0] for g in gens)
-    except ValueError:
-        return None  # non-smooth fiber has no monomial presentation
-    return {
+def _presentation_fields(fan, base):
+    """(generators, report fields) of the monomial presentation over base;
+    raises ValueError for a non-smooth fan."""
+    gens, cert, rels = bundle_presentation(fan, base)
+    images_zero = [extended_relation_image(fan, base, cert, rel).is_zero() for rel in rels]
+    return gens, {
         "n_generators": len(gens),
         "relations": list(rels),
         "certificate": {f"{c},{r}": list(u) for (c, r), u in sorted(cert.items())},
-        "generators_are_members": gens_member,
         "all_images_zero": all(images_zero),
         "images_zero": images_zero,
     }
+
+
+def _presentation_report(fan, base):
+    try:
+        gens, fields = _presentation_fields(fan, base)
+        fields["generators_are_members"] = all(extended_check(g)[0] for g in gens)
+    except ValueError:
+        return None  # non-smooth fiber has no monomial presentation
+    return fields
 
 
 def _extended_report(args, fan, base, payload):

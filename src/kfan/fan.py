@@ -101,8 +101,8 @@ def is_json_int(x) -> bool:
 
 
 def json_ints(value, what: str) -> tuple:
-    """A JSON list of integers (see is_json_int) as a tuple."""
-    if not isinstance(value, list) or not all(map(is_json_int, value)):
+    """A list (or tuple) of integers (see is_json_int) as a tuple."""
+    if not isinstance(value, (list, tuple)) or not all(map(is_json_int, value)):
         raise ValueError(f"{what} must be a list of integers")
     return tuple(value)
 

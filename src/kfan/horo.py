@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .baserings import CharRemap, FlagBase, _validate_cartan
-from .bundle import (
-    ExtendedElement,
-    bundle_presentation,
-    extended_box_rank,
-    extended_check,
-    extended_member_space,
-    kunneth_surjectivity_probe,
-)
+from .bundle import extended_box_rank
 from .catalog import p1
 from .cellular import check_cellular
 from .fan import Fan, fan_to_json, json_int_rows, json_ints, parse_fan
@@ -45,10 +38,9 @@ class HorosphericalDatum:
     def make(cartan, parabolic_set, fan: Fan, char_embedding) -> "HorosphericalDatum":
         return HorosphericalDatum(
             cartan=_validate_cartan(cartan),
-            parabolic_set=tuple(sorted(set(int(i) for i in parabolic_set))),
+            parabolic_set=tuple(sorted(set(json_ints(tuple(parabolic_set), "parabolic_set")))),
             fan=fan,
-            char_embedding=tuple(tuple(int(x) for x in col)
-                                 for col in char_embedding))
+            char_embedding=tuple(json_ints(col, "char_embedding") for col in char_embedding))
 
 
 def horo_base(datum: HorosphericalDatum) -> CharRemap:
@@ -90,30 +82,9 @@ def k_horospherical(datum: HorosphericalDatum):
     return datum.fan, report["base"]
 
 
-def horo_check(datum: HorosphericalDatum, comps) -> tuple:
-    """Membership of a component tuple in the K-ring."""
-    fan, base = k_horospherical(datum)
-    return extended_check(ExtendedElement(fan, base, comps))
-
-
 def horo_rank(datum: HorosphericalDatum, max_radius: int = 3) -> RankReport:
     fan, base = k_horospherical(datum)
     return extended_box_rank(fan, base, max_radius=max_radius)
-
-
-def horo_presentation(datum: HorosphericalDatum) -> tuple:
-    fan, base = k_horospherical(datum)
-    return bundle_presentation(fan, base)
-
-
-def horo_member_space(datum: HorosphericalDatum, radius: int):
-    fan, base = k_horospherical(datum)
-    return extended_member_space(fan, base, radius)
-
-
-def horo_kunneth_probe(datum: HorosphericalDatum, **kwargs) -> dict:
-    fan, base = k_horospherical(datum)
-    return kunneth_surjectivity_probe(fan, base, **kwargs)
 
 
 # --- built-in demonstrations --------------------------------------------------------

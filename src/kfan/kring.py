@@ -582,70 +582,38 @@ def minimal_nonfaces(fan: Fan) -> list:
 
 @dataclass(frozen=True)
 class SRPresentation:
-    n_generators: int
     relations: tuple  # dicts: {"kind": "nonface", "rays": ...} or {"kind": "character", "u": ...}
+    certificate: dict  # (cone, ray) -> u: the dual character of the ray there, else zero
 
 
 def sr_presentation(fan: Fan) -> SRPresentation:
-    """Relations of the monomial presentation: one product (1 - X_j) per
-    minimal nonface, and one per lattice character identifying the
-    representation-ring action with a monomial in the generators."""
+    """The monomial presentation of a smooth fan.
+
+    Relations: one product (1 - X_j) per minimal nonface, and one per
+    lattice character identifying the representation-ring action with a
+    monomial in the generators.  Generator X_j is e^u on a cone containing
+    ray j, with u the character dual to ray j in that cone's ray basis, and
+    1 elsewhere; the certificate records each such u (zero off the star of
+    ray j).  Smoothness makes every ray basis a lattice basis, so the dual
+    characters are integral."""
     if not is_smooth_fan(fan):
         raise ValueError("monomial presentation requires a smooth fan")
     rels = [{"kind": "nonface", "rays": nf} for nf in minimal_nonfaces(fan)]
     for i in range(fan.rank):
         u = tuple(1 if j == i else 0 for j in range(fan.rank))
         rels.append({"kind": "character", "u": u})
-    return SRPresentation(n_generators=len(fan.rays), relations=tuple(rels))
-
-
-def sr_to_plp(fan: Fan) -> tuple:
-    """Generator images: X_j maps to the piecewise unit that is e^{m} on
-    cones containing ray j (m the dual character of the ray there) and 1
-    elsewhere.  Returns (generators, certificate) with the certificate
-    recording every exponent used."""
-    if not is_smooth_fan(fan):
-        raise ValueError("monomial presentation requires a smooth fan")
-    xs = []
+    zero = (0,) * fan.rank
     certificate = {}
-    zero = tuple([0] * fan.rank)
-    for j in range(len(fan.rays)):
-        comps = []
-        for k, sigma in enumerate(fan.max_cones):
-            if j in sigma.ray_indices:
-                pos = sigma.ray_indices.index(j)
-                target = [1 if r == pos else 0 for r in range(len(sigma.ray_indices))]
-                # rows of the system pair u against each ray of sigma
-                a = fan.ray_matrix(sigma).transpose()
-                sol = solve_rational(a, target)
-                if any(x.denominator != 1 for x in sol):
-                    raise ValueError("dual character is not integral")
-                u = tuple(int(x) for x in sol)
-                comps.append(LaurentPoly.monomial(u))
-                certificate[(k, j)] = u
-            else:
-                comps.append(LaurentPoly.one(fan.rank))
-                certificate[(k, j)] = zero
-        xs.append(GkmElement(fan, comps))
-    return xs, certificate
-
-
-def relation_image(fan: Fan, xs, rel: dict) -> GkmElement:
-    """Image of a relation under the generator assignment; zero when the
-    presentation holds."""
-    if rel["kind"] == "nonface":
-        out = constant_embedding(fan, 1)
-        for j in rel["rays"]:
-            out = out * (constant_embedding(fan, 1) - xs[j])
-        return out
-    if rel["kind"] == "character":
-        u = tuple(rel["u"])
-        out = constant_embedding(fan, 1)
+    for k, sigma in enumerate(fan.max_cones):
+        # rows of the system pair u against each ray of sigma
+        a = fan.ray_matrix(sigma).transpose()
         for j in range(len(fan.rays)):
-            a = sum(ui * vi for ui, vi in zip(u, fan.rays[j]))
-            out = out * (xs[j] ** a)
-        return out - constant_embedding(fan, LaurentPoly.monomial(u))
-    raise ValueError(f"unknown relation kind {rel.get('kind')!r}")
+            if j in sigma.ray_indices:
+                target = [int(r == j) for r in sigma.ray_indices]
+                certificate[(k, j)] = tuple(int(x) for x in solve_rational(a, target))
+            else:
+                certificate[(k, j)] = zero
+    return SRPresentation(relations=tuple(rels), certificate=certificate)
 
 
 def _signed_compositions(n_slots: int, max_total: int):
@@ -673,25 +641,21 @@ def sr_surjectivity_probe(fan: Fan, max_degree: int = 3, mult_radius: int = 1,
     since membership in that lattice is all that is asked of the samples.
     The only basis built is the sampling one, at sample_radius.
     """
-    xs, _ = sr_to_plp(fan)
-    images = []
-    for powers in _signed_compositions(len(fan.rays), max_degree):
-        img = constant_embedding(fan, 1)
-        for j, a in enumerate(powers):
-            if a:
-                img = img * (xs[j] ** a)
-        images.append(img)
+    cert = sr_presentation(fan).certificate
+    duals = [[cert[(k, j)] for j in range(len(fan.rays))] for k in range(len(fan.max_cones))]
+    # the image of prod X_j^a_j is the single monomial e^(sum_j a_j u_kj) on cone k
+    images = [[tuple(sum(a * u[i] for a, u in zip(powers, us)) for i in range(fan.rank))
+               for us in duals]
+              for powers in _signed_compositions(len(fan.rays), max_degree)]
     shift_box = box_points(fan.rank, mult_radius)
-    need = max(img.support_radius() for img in images) + mult_radius
+    need = max(abs(x) for img in images for exp in img for x in exp) + mult_radius
     need = max(need, sample_radius)
     block = (2 * need + 1) ** fan.rank
     lat = RowLattice()
     for img in images:
         for w in shift_box:
-            # distinct exponents stay distinct under one shift, so no key repeats
-            lat.insert({i * block + box_index(tuple(a + b for a, b in zip(exp, w)), need): coef
-                        for i, comp in enumerate(img.components)
-                        for exp, coef in comp.terms.items()})
+            lat.insert({k * block + box_index(tuple(a + b for a, b in zip(exp, w)), need): 1
+                        for k, exp in enumerate(img)})
     space = member_space(fan, sample_radius)
     members = sample_members(space, samples, seed=seed)
     hits = sum(lat.contains(_box_vector(t, need)) for t in members)

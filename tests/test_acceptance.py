@@ -14,6 +14,7 @@ import time
 from kfan.baserings import PointBase, TrivialBase
 from kfan.bundle import (
     ExtendedElement,
+    bundle_presentation,
     extended_check,
     extended_relation_image,
     hirzebruch_crosscheck,
@@ -21,10 +22,8 @@ from kfan.bundle import (
     kunneth_realize,
 )
 from kfan.catalog import f1, p1, p1xp1, p112, p2
-from kfan.cellular import check_cellular, distinguished_face_bruteforce
+from kfan.cellular import check_cellular
 from kfan.horo import (
-    horo_check,
-    horo_presentation,
     horo_rank,
     k_horospherical,
     sl2_basic_datum,
@@ -38,14 +37,13 @@ from kfan.kring import (
     member_space,
     ordinary_k_rank,
     plp_check,
-    relation_image,
     sample_members,
-    sr_presentation,
     sr_surjectivity_probe,
-    sr_to_plp,
     verify_generation,
 )
 from kfan.laurent import LaurentPoly
+
+from oracles import distinguished_face_bruteforce
 
 FANS = [(p1(), [1, 0], 2), (p2(), [2, 1, 0], 3), (p1xp1(), [2, 1, 1, 0], 4),
         (f1(), [2, 1, 1, 0], 4), (p112(), [2, 1, 0], 3)]
@@ -114,11 +112,11 @@ def test_criterion_3_rank_equals_cells():
 
 def test_criterion_4_monomial_presentation():
     for fan in (p2(), p1xp1(), f1()):
-        pres = sr_presentation(fan)
-        xs, _ = sr_to_plp(fan)
-        for rel in pres.relations:
-            img = relation_image(fan, xs, rel)
-            assert all(c.is_zero() for c in img.components), fan.name
+        base = TrivialBase(fan.rank)
+        _, cert, rels = bundle_presentation(fan, base)
+        for rel in rels:
+            img = extended_relation_image(fan, base, cert, rel)
+            assert all(c.is_zero() for c in img.comps), fan.name
         probe = sr_surjectivity_probe(fan, max_degree=3, samples=25, seed=4)
         assert probe["all_hit"], (fan.name, probe)
     _passed(4, "monomial presentation relations map to zero and degree-3 "
@@ -173,15 +171,16 @@ def test_criterion_6_specialization_coherence():
 def test_criterion_7_horospherical_demo():
     t0 = time.perf_counter()
     d2 = sl2_basic_datum()
+    fan2, base2 = k_horospherical(d2)
     one = LaurentPoly.one(1)
-    assert horo_check(d2, (one, LaurentPoly.monomial((1,))))[0]
-    assert not horo_check(d2, (one, LaurentPoly.constant(1, 2)))[0]
+    assert extended_check(ExtendedElement(fan2, base2, (one, LaurentPoly.monomial((1,)))))[0]
+    assert not extended_check(ExtendedElement(fan2, base2, (one, LaurentPoly.constant(1, 2))))[0]
     rank = horo_rank(d2)
     assert rank.conclusive and rank.rank == 4
     for datum, want_rank in ((d2, 4), (sl3_datum(), 6)):
         assert validate_horo(datum)["ok"]
         fan, base = k_horospherical(datum)
-        gens, cert, rels = horo_presentation(datum)
+        gens, cert, rels = bundle_presentation(fan, base)
         kinds = sorted(rel["kind"] for rel in rels)
         assert kinds == ["character", "nonface"]
         for rel in rels:

@@ -385,6 +385,20 @@ def test_cartan_validation():
         FlagBase(A2, [5])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ToricBase(p1(), coeff_rank=2, line_data=[[(0, 1.9), (1, 1)]]),
+    lambda: ToricBase(p1(), coeff_rank=2, base_embed=[(1.0, 0)]),
+    lambda: FlagBase(A2, [True]),
+    lambda: FlagBase([[2.0]], []),
+    lambda: CharRemap(TrivialBase(2), [[0, 1.5]]),
+], ids=["toric-line-data", "toric-base-embed", "flag-parabolic-bool", "cartan-float",
+        "remap-column"])
+def test_constructors_reject_non_integers(build):
+    # int() would truncate 1.9 to 1 and read True as 1
+    with pytest.raises(ValueError):
+        build()
+
+
 # --- flag ----------------------------------------------------------------------
 
 

@@ -11,11 +11,12 @@ from kfan.cellular import (
     cells,
     check_cellular,
     distinguished_face,
-    distinguished_face_bruteforce,
     is_generic,
     search_generic,
 )
 from kfan.fan import Cone, Fan, all_cones
+
+from oracles import distinguished_face_bruteforce
 
 
 ACCEPTANCE = [catalog.p1(), catalog.p2(), catalog.p1xp1(), catalog.f1(), catalog.p112()]

@@ -51,8 +51,10 @@ def test_exit_code_contract(tmp_path, capsys):
     (["rank", '{"rank":true,"rays":[[1],[-1]],"max_cones":[[0],[1]]}'], "rank"),
     (["gkm-check", "p1", '[[{"exp":[0],"coef":true}],[{"exp":[0],"coef":1}]]'],
      "coefficient"),
+    (["sr", "p112"], "smooth"),
 ], ids=["invalid-fan", "negative-twist", "fiber-rank-mismatch", "negative-degree",
-        "negative-box", "negative-samples", "float-char-rank", "bool-rank", "bool-coef"])
+        "negative-box", "negative-samples", "float-char-rank", "bool-rank", "bool-coef",
+        "sr-singular"])
 def test_malformed_input_exits_2_with_message(capsys, argv, message):
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -22,6 +22,8 @@ A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 P1_FAN = {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
 A3_02_W2 = json.dumps({"cartan": A3, "parabolic_set": [0, 2], "fan": P1_FAN,
                        "char_embedding": [[0, 1, 0]]})
+P3_FAN = json.dumps({"rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                     "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], "name": "P3"})
 BAD_DATUM = json.dumps({"cartan": [[2]], "parabolic_set": [], "fan": P1_FAN,
                         "char_embedding": [[0]]})
 
@@ -65,6 +67,9 @@ INVOCATIONS = {
     "sr p2": ["sr", "p2", "--samples", "10"],
     "sr f1 seed 7": ["sr", "f1", "--seed", "7", "--samples", "10"],
     "sr p1xp1": ["sr", "p1xp1", "--degree", "2", "--samples", "10"],
+    "sr p1": ["sr", "p1"],
+    "sr hirzebruch:3": ["sr", "hirzebruch:3"],
+    "sr P3": ["sr", P3_FAN, "--degree", "2", "--samples", "10"],
     "gkm-check p1 member": ["gkm-check", "p1", P1_MEMBER],
     "gkm-check p1 non-member": ["gkm-check", "p1", P1_TUPLE_01],
     "gkm-check p2 non-member": ["gkm-check", "p2", P2_NON_MEMBER],
@@ -95,6 +100,9 @@ GOLDEN = {
     'sr p2': "7183ea165f344391d6402a92c2c74fcc5e9e3ffc5594b027d2b1a08d6f3120ca",
     'sr f1 seed 7': "aa47d3a291786d3d66b8a65b7f6b8b3ec25cac845e1c0cd7499c31c2f76de756",
     'sr p1xp1': "5177a5f000514f8bea5e5ea7778a9659528f5ac54e6a3bb1ccd6decee6b15900",
+    'sr p1': "dc0d0c58e52bf214c703d92d206decef6f1e1e7e58b8f182b4f846a77649de92",
+    'sr hirzebruch:3': "4fbd212786624562c5cb5e59acb355c5db677e8e83517ff2ad49459fb8970340",
+    'sr P3': "fc2c6a30f7cabf405d29d856293e0b8262393f3c3858e3e6176f282ff1bb6579",
     'gkm-check p1 member': "5cedac5abd8f48d68be1247c111d7a596debb58d9884dc0ccd98db46fba9abb4",
     'gkm-check p1 non-member': "dadcfba9b5371983c979e76c204f229ecf3d3fc60e1a97f54a0147f0ea7a0dbb",
     'gkm-check p2 non-member': "bdea907cd22b112fadbc416473ca2495dce4488b9d8ce15646d792f8c520f907",

@@ -4,11 +4,14 @@ import pytest
 
 from kfan.baserings import FlagBase
 from kfan.bundle import (
+    ExtendedElement,
     _ideal_products,
+    bundle_presentation,
     diagonal,
     extended_check,
     extended_member_space,
     extended_relation_image,
+    kunneth_surjectivity_probe,
 )
 from kfan.catalog import p1, p1xp1
 from kfan.fan import parse_fan
@@ -16,10 +19,6 @@ from kfan.horo import (
     HorosphericalDatum,
     datum_from_obj,
     datum_to_obj,
-    horo_check,
-    horo_kunneth_probe,
-    horo_member_space,
-    horo_presentation,
     horo_rank,
     k_horospherical,
     sl2_basic_datum,
@@ -42,12 +41,12 @@ def rand_poly(rng, rank, radius=1, terms=3, bound=3):
 
 
 def test_sl2_membership():
-    d = sl2_basic_datum()
+    fan, base = k_horospherical(sl2_basic_datum())
     one = LaurentPoly.one(1)
     x = LaurentPoly.monomial((1,))
-    ok, fails = horo_check(d, (one, x))
+    ok, fails = extended_check(ExtendedElement(fan, base, (one, x)))
     assert ok and not fails
-    ok, fails = horo_check(d, (one, LaurentPoly.constant(1, 2)))
+    ok, fails = extended_check(ExtendedElement(fan, base, (one, LaurentPoly.constant(1, 2))))
     assert not ok
     assert len(fails) == 1 and fails[0]["character"] == (1,)
     # pairs differing by a multiple of (1 - x) are always members
@@ -55,7 +54,7 @@ def test_sl2_membership():
     for _ in range(20):
         f = rand_poly(rng, 1, radius=2)
         g = rand_poly(rng, 1, radius=2)
-        ok, _ = horo_check(d, (g, g + (LaurentPoly.one(1) - x) * f))
+        ok, _ = extended_check(ExtendedElement(fan, base, (g, g + (LaurentPoly.one(1) - x) * f)))
         assert ok
 
 
@@ -101,9 +100,8 @@ def test_a3_01_w3_ideal_pivots_stay_small():
 
 
 def test_sl2_presentation():
-    d = sl2_basic_datum()
-    fan, base = k_horospherical(d)
-    gens, cert, rels = horo_presentation(d)
+    fan, base = k_horospherical(sl2_basic_datum())
+    gens, cert, rels = bundle_presentation(fan, base)
     assert len(gens) == 2
     assert sorted(rel["kind"] for rel in rels) == ["character", "nonface"]
     for g in gens:
@@ -120,25 +118,24 @@ def test_sl3_demo():
     fan, base = k_horospherical(d)
     one = base.one()
     y = LaurentPoly.monomial((0, 1))
-    ok, _ = horo_check(d, (one, y))
+    ok, _ = extended_check(ExtendedElement(fan, base, (one, y)))
     assert ok
-    ok, _ = horo_check(d, (one, base.scalar(2)))
+    ok, _ = extended_check(ExtendedElement(fan, base, (one, base.scalar(2))))
     assert not ok
     rank = horo_rank(d)
     assert rank.conclusive and rank.rank == 6
-    gens, cert, rels = horo_presentation(d)
+    gens, cert, rels = bundle_presentation(fan, base)
     for rel in rels:
         assert extended_relation_image(fan, base, cert, rel).is_zero()
 
 
 def test_member_space_dims_frozen():
-    assert horo_member_space(sl2_basic_datum(), 1).dim == 5
-    assert horo_member_space(sl3_datum(), 1).dim == 8
+    assert extended_member_space(*k_horospherical(sl2_basic_datum()), 1).dim == 5
+    assert extended_member_space(*k_horospherical(sl3_datum()), 1).dim == 8
 
 
 def test_member_space_elements_pass_check():
-    d = sl3_datum()
-    space = horo_member_space(d, 1)
+    space = extended_member_space(*k_horospherical(sl3_datum()), 1)
     for row in space.basis:
         e = space.to_element(row)
         ok, _ = extended_check(e)
@@ -146,7 +143,8 @@ def test_member_space_elements_pass_check():
 
 
 def test_kunneth_probe():
-    probe = horo_kunneth_probe(sl2_basic_datum(), samples=15, seed=3)
+    probe = kunneth_surjectivity_probe(*k_horospherical(sl2_basic_datum()),
+                                       samples=15, seed=3)
     assert probe["all_hit"]
     assert probe["hits"] == 15
 
@@ -171,6 +169,13 @@ def test_validation_rejections():
     rep = validate_horo(HorosphericalDatum.make([[2]], [], half, [(1,)]))
     assert not rep["ok"]
     assert any("cellular" in f for f in rep["failures"])
+
+
+def test_make_rejects_non_integers():
+    with pytest.raises(ValueError):
+        HorosphericalDatum.make([[2]], [], p1(), [(1.7,)])
+    with pytest.raises(ValueError):
+        HorosphericalDatum.make([[2]], [0.0], p1(), [(1,)])
 
 
 def test_parabolic_invariance_enforced_on_entries():

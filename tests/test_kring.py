@@ -4,6 +4,8 @@ import random
 import pytest
 
 from kfan import catalog, kring
+from kfan.baserings import TrivialBase
+from kfan.bundle import bundle_presentation, extended_relation_image
 from kfan.fan import Fan
 from kfan.intlat import RowSpan
 from kfan.kring import (
@@ -23,11 +25,9 @@ from kfan.kring import (
     ordinary_k_rank,
     plateau,
     plp_check,
-    relation_image,
     sample_members,
     sr_presentation,
     sr_surjectivity_probe,
-    sr_to_plp,
     vector_to_element,
     verify_generation,
 )
@@ -284,21 +284,21 @@ def test_smoothness_gate():
     with pytest.raises(ValueError):
         sr_presentation(catalog.p112())
     with pytest.raises(ValueError):
-        sr_to_plp(catalog.p112())
+        bundle_presentation(catalog.p112(), TrivialBase(2))
 
 
 def test_sr_generators_frozen_p1():
-    xs, cert = sr_to_plp(catalog.p1())
-    assert xs[0].components[0] == LaurentPoly.monomial((1,))
-    assert xs[0].components[1] == LaurentPoly.one(1)
-    assert xs[1].components[0] == LaurentPoly.one(1)
-    assert xs[1].components[1] == LaurentPoly.monomial((-1,))
+    xs, cert, _ = bundle_presentation(catalog.p1(), TrivialBase(1))
+    assert xs[0].comps[0] == LaurentPoly.monomial((1,))
+    assert xs[0].comps[1] == LaurentPoly.one(1)
+    assert xs[1].comps[0] == LaurentPoly.one(1)
+    assert xs[1].comps[1] == LaurentPoly.monomial((-1,))
     assert cert[(0, 0)] == (1,) and cert[(1, 1)] == (-1,)
 
 
 def test_sr_certificate_duality():
     for fan in SMOOTH:
-        xs, cert = sr_to_plp(fan)
+        cert = sr_presentation(fan).certificate
         for k, sigma in enumerate(fan.max_cones):
             for j in range(len(fan.rays)):
                 u = cert[(k, j)]
@@ -312,30 +312,31 @@ def test_sr_certificate_duality():
 
 def test_sr_generators_are_members():
     for fan in SMOOTH:
-        xs, _ = sr_to_plp(fan)
+        xs, _, _ = bundle_presentation(fan, TrivialBase(fan.rank))
         for x in xs:
-            assert gkm_check(x)[0]
-            assert plp_check(x)[0]
+            assert gkm_check(GkmElement(fan, x.comps))[0]
+            assert plp_check(GkmElement(fan, x.comps))[0]
 
 
 def test_sr_relations_vanish():
     for fan in SMOOTH:
         pres = sr_presentation(fan)
-        xs, _ = sr_to_plp(fan)
+        base = TrivialBase(fan.rank)
         kinds = [r["kind"] for r in pres.relations]
         assert kinds.count("character") == fan.rank
         assert kinds.count("nonface") == len(minimal_nonfaces(fan))
         for rel in pres.relations:
-            assert relation_image(fan, xs, rel).is_zero(), (fan.name, rel)
+            assert extended_relation_image(fan, base, pres.certificate, rel).is_zero(), \
+                (fan.name, rel)
 
 
 def test_sr_relation_images_detect_wrong_assignment():
-    # swapping two generator images must break some relation
+    # swapping two generator images (certificate columns) must break some relation
     fan = catalog.p2()
     pres = sr_presentation(fan)
-    xs, _ = sr_to_plp(fan)
-    swapped = [xs[1], xs[0], xs[2]]
-    assert any(not relation_image(fan, swapped, rel).is_zero()
+    swap = {0: 1, 1: 0, 2: 2}
+    swapped = {(k, j): pres.certificate[(k, swap[j])] for (k, j) in pres.certificate}
+    assert any(not extended_relation_image(fan, TrivialBase(2), swapped, rel).is_zero()
                for rel in pres.relations)
 
 
