@@ -324,7 +324,8 @@ class ToricBase(BaseRing):
     def line_class(self, chi):
         if len(chi) != self.char_rank:
             raise ValueError("character length does not match")
-        terms = [(int(c), per_cone) for c, per_cone in zip(chi, self.line_data) if c]
+        chi = json_ints(tuple(chi), "character")
+        terms = [(c, per_cone) for c, per_cone in zip(chi, self.line_data) if c]
         comps = []
         for k in range(len(self.fan.max_cones)):
             exp = [0] * self.coeff_rank
@@ -464,7 +465,7 @@ def weyl_orbit(cartan, gens: Sequence[int], lam: Sequence[int],
                guard: int = 10 ** 6) -> list:
     """Orbit of a weight under the subgroup generated by the listed simple
     reflections (breadth-first, exact)."""
-    lam = tuple(int(x) for x in lam)
+    lam = json_ints(tuple(lam), "weight")
     seen = {lam}
     frontier = [lam]
     while frontier:
@@ -521,7 +522,7 @@ class FlagBase(TrivialBase):
         return LaurentPoly(self.rank, {mu: 1 for mu in orbit})
 
     def line_class(self, chi):
-        chi = tuple(int(x) for x in chi)
+        chi = json_ints(tuple(chi), "character")
         if len(chi) != self.rank:
             raise ValueError("character length does not match")
         if any(chi[i] for i in self.parabolic_set):

@@ -31,7 +31,7 @@ from .bundle import (
 )
 from .catalog import f1, hirzebruch, p1, p1xp1, p112, p2, quadrant
 from .cellular import check_cellular
-from .fan import Fan, fan_to_json, is_complete, parse_fan, validate_fan
+from .fan import Fan, fan_to_json, is_complete, parse_fan, validate_fan, walls
 from .horo import (
     datum_from_obj,
     datum_to_obj,
@@ -288,6 +288,11 @@ def _bundle_pair(spec_obj):
     if fiber.rank != base.char_rank:
         raise InputError(f"fiber fan rank {fiber.rank} does not match the base "
                          f"character rank {base.char_rank}")
+    try:
+        for w in walls(fiber):
+            base.line_class(w.character)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     return fiber, base
 
 
@@ -448,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("element")
     _add_common(p, seed=False, trust=True)
 
-    p = subs.add_parser("basis", help="filtration-adapted module basis")
+    p = subs.add_parser("basis", help="certified filtration-adapted module basis "
+                        "(closed form on smooth fans; --box bounds the singular search)")
     p.add_argument("fan")
     p.add_argument("--v", default=None, metavar="X,Y,...")
     p.add_argument("--samples", type=int, default=25,

@@ -36,7 +36,8 @@ class Cone:
     ray_indices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "ray_indices", tuple(sorted(set(int(i) for i in self.ray_indices))))
+        indices = json_ints(tuple(self.ray_indices), "cone ray indices")
+        object.__setattr__(self, "ray_indices", tuple(sorted(set(indices))))
 
     @property
     def dim(self) -> int:
@@ -68,7 +69,8 @@ class Fan:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in self.rays))
+        object.__setattr__(self, "rays", tuple(json_ints(tuple(r), "each ray")
+                                              for r in self.rays))
         cones = tuple(c if isinstance(c, Cone) else Cone(tuple(c)) for c in self.max_cones)
         object.__setattr__(self, "max_cones", cones)
         if self.rank < 1:

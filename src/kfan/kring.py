@@ -9,8 +9,8 @@ exercises that equivalence rather than assuming it.
 
 Free-module structure over the representation ring is computed exactly:
 box-truncated member lattices, the ordinary K-ring rank as a stabilized
-quotient rank, a filtration basis found by forcing earlier components to
-vanish, and a monomial presentation for smooth fans.
+quotient rank, a certified filtration basis (in closed form on smooth
+fans), and a monomial presentation for smooth fans.
 """
 
 from __future__ import annotations
@@ -449,7 +449,7 @@ class FiltrationBasis:
     v: tuple
     order: tuple        # cell order, maximal cone indices
     elements: tuple     # GkmElement per order position
-    radius: int
+    radius: int         # largest support radius of the elements
 
 
 def _combine_basis(basis, combo: dict) -> dict:
@@ -461,21 +461,64 @@ def _combine_basis(basis, combo: dict) -> dict:
 
 def build_filtration_basis(fan: Fan, v: Optional[Sequence] = None, seed: int = 0,
                            max_radius: int = 4) -> FiltrationBasis:
-    """Module basis adapted to the cell filtration.
+    """Module basis adapted to the cell filtration, certified exactly.
 
     The cells after position p in the order form a closed union, and the
     basis element of position p vanishes on their cones while restricting
     on its own cone to a generator of the ideal of such restrictions.  (The
     opposite orientation, vanishing on earlier cells, admits no generator
     for some cellular structures: the restriction ideal need not be
-    principal there.)  Generation is certified by exact division against
-    the other kernel vectors; the box radius grows until every position
-    yields a certified generator.
+    principal there.)
+
+    On a smooth fan each element has a closed form (_closed_form_basis).  A
+    singular fan falls back to a search of growing coordinate boxes, up to
+    max_radius (_box_search_basis).  Either way the result is returned only
+    when _certify_basis proves it a basis; radius is the largest support
+    radius of its elements.
     """
     rep = check_cellular(fan, v=v, seed=seed)
     if not rep.verdict:
         raise ValueError(f"fan is not cellular: {rep.failure}")
     order = tuple(rep.order)
+    if is_smooth_fan(fan):
+        elements = _closed_form_basis(fan, rep.taus, order)
+    else:
+        elements = _box_search_basis(fan, order, max_radius)
+    basis = FiltrationBasis(v=rep.v, order=order, elements=elements,
+                            radius=max(e.support_radius() for e in elements))
+    _certify_basis(fan, basis)
+    return basis
+
+
+def _closed_form_basis(fan: Fan, taus, order) -> tuple:
+    """phi_p = prod (1 - X_rho) over the rays rho of sigma_p outside tau_p,
+    with X_rho the generators of the monomial presentation: e^u on a cone
+    containing rho, u the dual character there, and 1 elsewhere.  So the
+    component on a cone missing one of those rays is zero."""
+    cert = sr_presentation(fan).certificate
+    one = LaurentPoly.one(fan.rank)
+    zero = LaurentPoly.zero(fan.rank)
+    elements = []
+    for i in order:
+        outside = set(fan.max_cones[i].ray_indices) - set(taus[i].ray_indices)
+        comps = []
+        for k, sigma in enumerate(fan.max_cones):
+            if not outside <= set(sigma.ray_indices):
+                comps.append(zero)
+                continue
+            c = one
+            for rho in sorted(outside):
+                c = c * (one - LaurentPoly.monomial(cert[(k, rho)]))
+            comps.append(c)
+        elements.append(GkmElement(fan, comps))
+    return tuple(elements)
+
+
+def _box_search_basis(fan: Fan, order, max_radius: int) -> tuple:
+    """For each position, a member vanishing on the later cones whose
+    restriction to its own cone divides the restriction of every other
+    such member in the box, exactly.  The box radius grows until every
+    position has one."""
     last_error = "no radius attempted"
     for radius in range(1, max_radius + 1):
         space = member_space(fan, radius)
@@ -509,9 +552,51 @@ def build_filtration_basis(fan: Fan, v: Optional[Sequence] = None, seed: int = 0
                 break
             elements.append(vector_to_element(space, vectors[chosen]))
         if elements is not None:
-            return FiltrationBasis(v=rep.v, order=order, elements=tuple(elements),
-                                   radius=radius)
+            return tuple(elements)
     raise ValueError(f"filtration basis not found: {last_error}")
+
+
+def _certify_basis(fan: Fan, basis: FiltrationBasis) -> None:
+    """Raise ValueError unless basis.elements is a basis of the members
+    over the representation ring Z[M], by three exact checks:
+      - every phi_p is a member (gkm_check);
+      - phi_p vanishes on every cone later in the order;
+      - the diagonal phi_p[sigma_p] is a monomial unit times the Euler
+        product E_p = prod (1 - e^chi_w) over the walls w from sigma_p to
+        later cones.
+
+    Why this is a proof.  Peel a member t from the end of the order, as
+    decompose does: suppose the remainder r vanishes on the cones after
+    position p.  Across each wall w from sigma_p to a later cone,
+    r[sigma_p] - 0 is divisible by 1 - e^chi_w.  On a smooth cell the
+    chi_w are part of a lattice basis of M, so these factors are pairwise
+    non-associate irreducibles of the UFD Z[M] (1 - x_1 in suitable
+    coordinates), and their product E_p divides r[sigma_p].  Then so does
+    the diagonal, which is a unit times E_p, and subtracting the quotient
+    times phi_p makes r vanish on sigma_p as well.  Induction ends at
+    r = 0, so the phi_p generate; they are triangular with nonzero
+    diagonals, so they are free.  The argument needs only that the chi_w
+    are primitive and pairwise non-proportional, which holds for the walls
+    of any simplicial cone; so the same checks certify the box-search
+    bases of singular fans.
+    """
+    order = basis.order
+    if sorted(order) != list(range(len(fan.max_cones))) or len(basis.elements) != len(order):
+        raise ValueError("basis must have one element per maximal cone")
+    position = {i: pos for pos, i in enumerate(order)}
+    one = LaurentPoly.one(fan.rank)
+    euler = [one] * len(order)
+    for w in walls(fan):
+        p = min(position[w.left], position[w.right])
+        euler[p] = euler[p] * (one - LaurentPoly.monomial(w.character))
+    for pos, (i, phi) in enumerate(zip(order, basis.elements)):
+        if not gkm_check(phi)[0]:
+            raise ValueError(f"basis element {pos} is not a member")
+        if any(not phi.components[q].is_zero() for q in order[pos + 1:]):
+            raise ValueError(f"basis element {pos} does not vanish on later cones")
+        unit = exact_divide(phi.components[i], euler[pos])
+        if unit is None or not unit.is_monomial_unit():
+            raise ValueError(f"basis element {pos} is not a unit times its Euler product")
 
 
 def decompose(fan: Fan, basis: FiltrationBasis, t: GkmElement) -> Optional[list]:
@@ -565,11 +650,15 @@ def is_smooth_fan(fan: Fan) -> bool:
 
 
 def minimal_nonfaces(fan: Fan) -> list:
-    """Inclusion-minimal ray sets spanning no cone of the fan."""
+    """Inclusion-minimal ray sets spanning no cone of the fan.
+
+    Every proper subset of a minimal nonface is a face, and a face has at
+    most rank rays, so no minimal nonface has more than rank + 1: the sizes
+    searched stop there, not at the number of rays."""
     faces = {frozenset(c.ray_indices) for c in all_cones(fan)}
     n = len(fan.rays)
     out = []
-    for size in range(1, n + 1):
+    for size in range(1, min(n, fan.rank + 1) + 1):
         for subset in itertools.combinations(range(n), size):
             fs = frozenset(subset)
             if fs in faces:

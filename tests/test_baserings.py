@@ -399,6 +399,20 @@ def test_constructors_reject_non_integers(build):
         build()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: FlagBase(A2, [0]).line_class((0, 1.9)),
+    lambda: FlagBase(A2, []).line_class((True, 0)),
+    lambda: weyl_orbit(A2, [0], (0, 1.5)),
+    lambda: ToricBase(p1(), coeff_rank=1, line_data=[[(1,), (0,)]]).line_class((1.5,)),
+    lambda: ToricBase(p1(), coeff_rank=1, line_data=[[(1,), (0,)]]).line_class((False,)),
+], ids=["flag-line-class-float", "flag-line-class-bool", "weyl-orbit-float",
+        "toric-line-class-float", "toric-line-class-bool"])
+def test_characters_reject_non_integers(call):
+    # int() would truncate (0, 1.9) to e^(0,1)
+    with pytest.raises(ValueError):
+        call()
+
+
 # --- flag ----------------------------------------------------------------------
 
 

@@ -52,9 +52,12 @@ def test_exit_code_contract(tmp_path, capsys):
     (["gkm-check", "p1", '[[{"exp":[0],"coef":true}],[{"exp":[0],"coef":1}]]'],
      "coefficient"),
     (["sr", "p112"], "smooth"),
+    # the parabolic reflection s_0 moves the wall characters of p2
+    (["bundle", '{"fiber":"p2","base":{"kind":"flag","cartan":[[2,-1],[-1,2]],'
+                '"parabolic_set":[0]}}'], "parabolic reflections"),
 ], ids=["invalid-fan", "negative-twist", "fiber-rank-mismatch", "negative-degree",
         "negative-box", "negative-samples", "float-char-rank", "bool-rank", "bool-coef",
-        "sr-singular"])
+        "sr-singular", "flag-moves-wall-character"])
 def test_malformed_input_exits_2_with_message(capsys, argv, message):
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -66,6 +66,18 @@ def test_parse_rejects_malformed():
             parse_fan(src)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Fan(rank=1, rays=((1.5,), (-1,)), max_cones=((0,), (1,))),
+    lambda: Fan(rank=1, rays=((True,), (-1,)), max_cones=((0,), (1,))),
+    lambda: Cone((0.7, True)),
+    lambda: Cone((0, 1.0)),
+], ids=["fan-float-ray", "fan-bool-ray", "cone-float-bool", "cone-integral-float"])
+def test_constructors_reject_non_integers(build):
+    # int() would truncate 1.5 to 1 and 0.7 to 0, and read True as 1
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_fan_rejects_dependent_cone_rays():
     with pytest.raises(ValueError):
         Fan(rank=2, rays=((1, 0), (-1, 0)), max_cones=((0, 1),))

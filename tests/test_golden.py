@@ -64,6 +64,8 @@ INVOCATIONS = {
     "basis p1": ["basis", "p1"],
     "basis p2 seed 3": ["basis", "p2", "--seed", "3"],
     "basis f1": ["basis", "f1", "--samples", "10"],
+    "basis p112": ["basis", "p112"],
+    "basis p112 v": ["basis", "p112", "--v", "2,1"],
     "sr p2": ["sr", "p2", "--samples", "10"],
     "sr f1 seed 7": ["sr", "f1", "--seed", "7", "--samples", "10"],
     "sr p1xp1": ["sr", "p1xp1", "--degree", "2", "--samples", "10"],
@@ -94,9 +96,11 @@ GOLDEN = {
     'rank f1': "11bbe5a46962fc45cc20b047fc3f5fdbe43d769fadb62e2b8154aa1f1f36d55c",
     'rank hirzebruch:2': "973302b0b949a2332e73579c63f4ed58e49fc4347104703995462b80020704fd",
     'rank p1xp1 human': "8b9541a1b9f9514699ada5d87c58fc1ad2011a531c8ae1ac9d4ae254b56e3be1",
-    'basis p1': "3a5627246c0e0b2046f0503db2b8bc1b302b04fe87c9656e0f95c43c817707b3",
-    'basis p2 seed 3': "13921f6ac310b6acce1ef309127351ec636902480e5bb22e5207e3195999aff8",
-    'basis f1': "ab3d5c5ae73bad1f31a425eef02e90f78ba9a87dd069ed5e2ba563a0c6124bf0",
+    'basis p1': "9cfba107b052bd4f828bcf6347f70d0b1a210d646c608faf94faaa47aa184b43",
+    'basis p2 seed 3': "3ea16b18b9c18de59b2a2e55d1e0c96c6d9a1f1dbcdade95afc6fbf436377611",
+    'basis f1': "f77f1186afe43e79102bd157212f5fdf84ae9438fc361311f05edcf25d544a10",
+    'basis p112': "c1ba72892f1b9607b21a23dbb7493b24b530c9a8d38ec2ea59e57bb49fd08f5b",
+    'basis p112 v': "a31aea56cd0375b811559395561ff17d0c66dda7a15317de95c4c8f4f431d3e8",
     'sr p2': "7183ea165f344391d6402a92c2c74fcc5e9e3ffc5594b027d2b1a08d6f3120ca",
     'sr f1 seed 7': "aa47d3a291786d3d66b8a65b7f6b8b3ec25cac845e1c0cd7499c31c2f76de756",
     'sr p1xp1': "5177a5f000514f8bea5e5ea7778a9659528f5ac54e6a3bb1ccd6decee6b15900",

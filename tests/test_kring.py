@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,7 +7,8 @@ import pytest
 from kfan import catalog, kring
 from kfan.baserings import TrivialBase
 from kfan.bundle import bundle_presentation, extended_relation_image
-from kfan.fan import Fan
+from kfan.cellular import check_cellular
+from kfan.fan import Fan, all_cones
 from kfan.intlat import RowSpan
 from kfan.kring import (
     GkmElement,
@@ -262,6 +264,110 @@ def test_decompose_recovers_coefficients():
             assert decompose(fan, basis, total) == coeffs
 
 
+def _polygon(n: int) -> Fan:
+    # P1xP1 blown up n - 4 times, each time between a fixed adjacent pair
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    step = 0
+    while len(rays) < n:
+        j = (2 * step) % len(rays)
+        k = (j + 1) % len(rays)
+        rays.insert(j + 1, (rays[j][0] + rays[k][0], rays[j][1] + rays[k][1]))
+        step += 1
+    return Fan(rank=2, rays=tuple(rays), max_cones=tuple((i, (i + 1) % n) for i in range(n)),
+               name=f"polygon{n}")
+
+
+def _closed_form_factors(fan: Fan, basis, pos: int) -> list:
+    """The factors (1 - X_rho), rho in sigma_p outside tau_p, as elements."""
+    cert = sr_presentation(fan).certificate
+    i = basis.order[pos]
+    tau = set(check_cellular(fan, v=basis.v).taus[i].ray_indices)
+    one = LaurentPoly.one(fan.rank)
+    return [GkmElement(fan, [one - LaurentPoly.monomial(cert[(k, rho)])
+                             if rho in sigma.ray_indices else LaurentPoly.zero(fan.rank)
+                             for k, sigma in enumerate(fan.max_cones)])
+            for rho in fan.max_cones[i].ray_indices if rho not in tau]
+
+
+SMOOTH_BASIS_CASES = (
+    [(catalog.hirzebruch(a), None) for a in range(7)]
+    + [(_polygon(n), None) for n in range(4, 13)]
+    + [(_p3(), (2, 1, 4)), (_p3(), (-2, 7, 4)), (_p1_cubed(), None)])
+
+
+@pytest.mark.parametrize("fan, v", SMOOTH_BASIS_CASES,
+                         ids=[f"{f.name}-{v}" for f, v in SMOOTH_BASIS_CASES])
+def test_smooth_basis_is_the_certified_closed_form(fan, v):
+    basis = build_filtration_basis(fan, v=v, seed=0)
+    assert len(basis.elements) == len(fan.max_cones)
+    kring._certify_basis(fan, basis)
+    one = constant_embedding(fan, 1)
+    for pos, phi in enumerate(basis.elements):
+        product = one
+        for factor in _closed_form_factors(fan, basis, pos):
+            product = product * factor
+        assert phi == product, pos
+    assert basis.radius == max(phi.support_radius() for phi in basis.elements)
+
+
+def test_p3_basis_along_minus_2_7_4():
+    # the box search gave up here: no dividing generator at order position 2
+    fan = _p3()
+    basis = build_filtration_basis(fan, v=(-2, 7, 4))
+    assert len(basis.elements) == 4
+    kring._certify_basis(fan, basis)
+    assert verify_generation(fan, basis, samples=25, seed=1)["all_generated"]
+
+
+def test_smooth_basis_ignores_the_search_radius():
+    # max_radius bounds only the singular-fan search
+    fan = catalog.p2()
+    assert build_filtration_basis(fan, seed=3, max_radius=0) == \
+        build_filtration_basis(fan, seed=3)
+
+
+@pytest.mark.parametrize("fan", [_p3(), _p1_cubed()], ids=["P3", "P1xP1xP1"])
+def test_decompose_splits_every_radius_2_member(fan):
+    basis = build_filtration_basis(fan, seed=0)
+    space = member_space(fan, 2)
+    for vec in space.basis:
+        t = vector_to_element(space, vec)
+        coeffs = decompose(fan, basis, t)
+        assert coeffs is not None
+        total = constant_embedding(fan, 0)
+        for c, phi in zip(coeffs, basis.elements):
+            total = total + constant_embedding(fan, c) * phi
+        assert total == t
+
+
+def test_certificate_rejects_a_dropped_factor():
+    fan = _p3()
+    basis = build_filtration_basis(fan, v=(2, 1, 4))
+    one = constant_embedding(fan, 1)
+    corrupted = 0
+    for pos in range(len(basis.order)):
+        factors = _closed_form_factors(fan, basis, pos)
+        for drop in range(len(factors)):
+            phi = one
+            for k, factor in enumerate(factors):
+                if k != drop:
+                    phi = phi * factor
+            assert gkm_check(phi)[0]  # still a member: only the certificate fails
+            elements = basis.elements[:pos] + (phi,) + basis.elements[pos + 1:]
+            with pytest.raises(ValueError):
+                kring._certify_basis(fan, dataclasses.replace(basis, elements=elements))
+            corrupted += 1
+    assert corrupted == 6  # cell dimensions 3, 2, 1, 0
+
+
+@pytest.mark.parametrize("seed, v", [(s, None) for s in range(6)] + [(0, (2, 1))])
+def test_singular_box_search_basis_passes_the_certificate(seed, v):
+    fan = catalog.p112()
+    assert not is_smooth_fan(fan)
+    basis = build_filtration_basis(fan, v=v, seed=seed)
+    kring._certify_basis(fan, basis)
+
+
 def test_decompose_rejects_nonmember():
     fan = catalog.p2()
     basis = build_filtration_basis(fan, seed=0)
@@ -276,6 +382,18 @@ def test_minimal_nonfaces_frozen():
     assert minimal_nonfaces(catalog.p2()) == [(0, 1, 2)]
     assert minimal_nonfaces(catalog.p1xp1()) == [(0, 2), (1, 3)]
     assert minimal_nonfaces(catalog.f1()) == [(0, 2), (1, 3)]
+
+
+@pytest.mark.parametrize("fan", [_polygon(8), _p3(), _p1_cubed(), catalog.quadrant()],
+                         ids=lambda f: f.name)
+def test_minimal_nonfaces_match_every_subset(fan):
+    # the search stops at rank + 1 rays; the oracle tries every ray subset
+    faces = {frozenset(c.ray_indices) for c in all_cones(fan)}
+    n = len(fan.rays)
+    oracle = [s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)
+              if frozenset(s) not in faces
+              and all(frozenset(t) in faces for t in itertools.combinations(s, size - 1))]
+    assert minimal_nonfaces(fan) == oracle
 
 
 def test_smoothness_gate():
