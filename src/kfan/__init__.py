@@ -1,10 +1,11 @@
 """Exact computation of wall-congruence K-rings on fans.
 
 Tuples of Laurent polynomials over the maximal cones of a fan, congruent
-across walls modulo (1 - e^chi): membership checks, box-stabilized rank
-estimates, filtration-adapted bases, monomial presentations for smooth
-fans, and the extension of the same machinery to bundles over cellular
-toric bases and to toroidal horospherical embeddings.
+across walls modulo (1 - e^chi): membership checks, certified
+filtration-adapted bases and the ordinary K-ring rank they count, monomial
+presentations for smooth fans, and the extension of the same machinery to
+bundles over cellular toric bases and to toroidal horospherical embeddings,
+whose ranks are box-stabilized estimates.
 """
 
 from .baserings import (
@@ -76,6 +77,7 @@ from .intlat import (
     solve_integer,
 )
 from .kring import (
+    CertifiedRank,
     FiltrationBasis,
     GkmElement,
     MemberSpace,

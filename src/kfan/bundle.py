@@ -450,8 +450,8 @@ def hirzebruch_crosscheck(a: int, samples: int = 100, seed: int = 0,
 
     Random members and perturbed non-members must get identical verdicts
     from both models (and from both orientations of the fiber wall), the
-    two rank estimates must agree, and realized tensors must map to direct
-    members."""
+    certified ordinary rank must equal the extended box-rank estimate, and
+    realized tensors must map to direct members."""
     total = hirzebruch(a)
     fiber, base = hirzebruch_fiber_base(a)
     space = member_space(total, radius)

@@ -7,8 +7,9 @@ with the same inputs and seed; wall-clock timings go to standard error so
 they never perturb the report.
 
 Exit codes: 0 the computation finished (a false verdict is a result, not a
-failure), 2 malformed input, 3 inconclusive (a box-truncated estimate ran
-out of radius before stabilizing).
+failure), 2 malformed input, 3 inconclusive (no certificate: no basis was
+certified for the rank, a box-truncated extended rank ran out of radius
+before stabilizing, or the crosscheck's two ranks disagree).
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ _BUILTIN_FANS = {"p1": p1, "p2": p2, "p1xp1": p1xp1, "f1": f1,
 
 class InputError(ValueError):
     """Malformed or unreadable input; mapped to exit code 2."""
-
-
-class Inconclusive(Exception):
-    """Box exhaustion; report is still printed, exit code 3."""
 
 
 # --- input loading ------------------------------------------------------------------
@@ -256,10 +253,11 @@ def _cmd_basis(args):
 
 def _cmd_rank(args):
     f = load_fan(args.fan, trust=args.trust_fan)
-    radius = args.box if args.box is not None else 5
+    radius = args.box if args.box is not None else 4
     rep = ordinary_k_rank(f, max_radius=radius)
     payload = {"fan": fan_to_json(f), "box": radius}
-    return payload, {"fan": _fan_summary(f)}, _rank_result(rep), rep.conclusive
+    result = {"rank": rep.rank, "conclusive": rep.conclusive, "reason": rep.reason}
+    return payload, {"fan": _fan_summary(f)}, result, rep.conclusive
 
 
 def _cmd_sr(args):
@@ -387,7 +385,7 @@ def _cmd_crosscheck(args):
     result = hirzebruch_crosscheck(args.hirzebruch, samples=args.samples,
                                    seed=args.seed, radius=radius)
     payload = {"hirzebruch": args.hirzebruch, "box": radius, "samples": args.samples}
-    return payload, {"hirzebruch": args.hirzebruch}, result, True
+    return payload, {"hirzebruch": args.hirzebruch}, result, result["ranks_match"]
 
 
 _HANDLERS = {
@@ -461,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random members to decompose against the basis")
     _add_common(p, box=True, trust=True)
 
-    p = subs.add_parser("rank", help="box-stabilized free rank")
+    p = subs.add_parser("rank", help="certified free rank: the size of a filtration basis "
+                        "(--box bounds the singular search)")
     p.add_argument("fan")
     _add_common(p, seed=False, box=True, trust=True)
 

@@ -566,10 +566,10 @@ class RowSpan(_Echelon):
     """Incremental echelon of the rational span of inserted rows.
 
     For callers that read only the rank or the pivot columns (the
-    member dimension, the augmentation-ideal ranks, the flag probe's
-    in-box pivot count): the rank of a Z-lattice is the rank of its
-    rational span, and the pivot columns of any echelon of it are the
-    same, so these answers equal RowLattice's.
+    extended box ranks' ideal lattices, the flag probe's in-box pivot
+    count): the rank of a Z-lattice is the rank of its rational span, and
+    the pivot columns of any echelon of it are the same, so these answers
+    equal RowLattice's.
 
     When the pivot a does not divide the entry b, the working row is
     scaled by a/gcd(a, b) and the pivot row subtracted; nothing is

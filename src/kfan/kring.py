@@ -8,22 +8,21 @@ face.  For complete fans the two conditions coincide, and the test suite
 exercises that equivalence rather than assuming it.
 
 Free-module structure over the representation ring is computed exactly:
-box-truncated member lattices, the ordinary K-ring rank as a stabilized
-quotient rank, a certified filtration basis (in closed form on smooth
-fans), and a monomial presentation for smooth fans.
+box-truncated member lattices, a certified filtration basis (in closed form
+on smooth fans), the ordinary K-ring rank as the size of that basis, and a
+monomial presentation for smooth fans.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cellular import check_cellular
 from .fan import Fan, all_cones, is_smooth_cone, walls
-from .intlat import RowLattice, RowSpan, solve_rational, sparse_kernel_basis
+from .intlat import RowLattice, solve_rational, sparse_kernel_basis
 from .laurent import (
     LaurentPoly,
     box_index,
@@ -209,21 +208,6 @@ def member_space(fan: Fan, radius: int) -> MemberSpace:
     return MemberSpace(fan=fan, radius=radius, exps=exps, basis=tuple(basis))
 
 
-def member_dim(fan: Fan, radius: int) -> int:
-    """member_space(fan, radius).dim without building the basis.
-
-    The kernel's dimension is the number of box positions minus the rank
-    of the wall-congruence rows, and that rank needs only an echelon of
-    the rows, while the kernel tracks one coordinate column per position
-    (for P1xP1xP1 at radius 3: 588 rows against 2,744 columns)."""
-    exps = box_points(fan.rank, radius)
-    wall_chars = ((w.left, w.right, w.character) for w in walls(fan))
-    lat = RowSpan()
-    for row in _wall_rows(wall_chars, exps):
-        lat.insert(row)
-    return len(exps) * len(fan.max_cones) - lat.rank
-
-
 def vector_to_element(space: MemberSpace, vec) -> GkmElement:
     if isinstance(vec, dict):
         items = vec.items()
@@ -286,12 +270,14 @@ def sample_members(space: MemberSpace, count: int, seed: int = 0,
             for vec in sample_vectors(space.basis, count, seed, coeff_bound, max_terms)]
 
 
-# --- ordinary K-ring rank ------------------------------------------------------
+# --- box-stabilized ranks ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RankReport:
-    """A box-stabilized rank; each history row ends with its estimate."""
+    """A box-stabilized rank estimate, as the extended rings of bundles and
+    horospherical embeddings give it; each history row ends with its
+    estimate."""
 
     rank: Optional[int]
     stabilized_at: Optional[int]
@@ -326,119 +312,6 @@ def box_stabilize(step, max_radius: int) -> RankReport:
     conclusive = len(history) > 1 and history[-2][-1] == rank
     return RankReport(rank=rank, stabilized_at=len(history) if conclusive else None,
                       conclusive=conclusive, history=tuple(history))
-
-
-def _augmentation_ideal_rank(fan: Fan, radius: int, inner: MemberSpace) -> int:
-    """Rank of the span of (e^u - 1) * b for b in the inner member basis
-    and u running over the radius-1 box, inside the radius box.
-
-    Only the rows the keep rule below allows are built.  Let r be the
-    inner radius and F(b) the faces b touches: (i, s) is in F(b) when some
-    exponent in b's support has coordinate i equal to s*r (at r = 0 both
-    signs, for every i).  The row for (u, b) is kept when
-      - u = +e_i: always;
-      - u = -e_i: iff (i, -1) is in F(b);
-      - u has two or more nonzero coordinates: iff (i, sign u_i) is in F(b)
-        for every i with u_i != 0.
-    The span is unchanged.  Members are closed under multiplication by a
-    character, so when (i, s) is not in F(b), e^(s*e_i) * b is a member in
-    the inner box and lies in the span of the inner basis.  Then
-      (e^-e_i - 1) * b = -(e^e_i - 1) * (e^-e_i * b)
-    puts a dropped single-coordinate row in the span of kept +e_i rows.  A
-    dropped row with two or more nonzero coordinates has an i with
-    (i, sign u_i) not in F(b); with v = u_i * e_i,
-      (e^u - 1) * b = (e^(u-v) - 1) * (e^v * b) + (e^v - 1) * b
-    writes it through rows whose shifts have fewer nonzero coordinates, so
-    induction on that number finishes the proof.  (r = 0 puts every face in
-    F(b), as the exponent 0 is both +r and -r.)
-
-    Only the rank is needed, so the products go in sparsest first (ties in
-    shift order, then basis order), with column k of the outer box mapped
-    to column n_cols - 1 - k so the last column leads.  A first pass drops
-    the rows the rule rejects, builds each kept product once and files its
-    index under its length, in a C array; the second pass rebuilds the
-    products length by length.  So neither the products nor one Python int
-    per product are ever held at once.
-    """
-    block = (2 * radius + 1) ** fan.rank
-    last = block * len(fan.max_cones) - 1
-    n_basis = len(inner.basis)
-    r = inner.radius
-
-    def columns(u) -> array:
-        # outer column (last one first) of each inner position times e^u
-        out = array("I")
-        for pos in range(inner.block * len(fan.max_cones)):
-            cone, k = divmod(pos, inner.block)
-            target = tuple(a + d for a, d in zip(inner.exps[k], u))
-            out.append(last - (cone * block + box_index(target, radius)))
-        return out
-
-    # faces as bits: 2i for (i, +1), 2i + 1 for (i, -1)
-    def faces(exp) -> int:
-        return sum((x == r) << 2 * i | (x == -r) << 2 * i + 1
-                   for i, x in enumerate(exp))
-
-    def needs(u) -> int:
-        # the faces b must touch for the row (u, b) to be kept
-        bits = [1 << 2 * i + (x < 0) for i, x in enumerate(u) if x]
-        return 0 if len(bits) == 1 and max(u) == 1 else sum(bits)
-
-    exp_faces = [faces(e) for e in inner.exps]
-    touched = [0] * n_basis
-    for j, b in enumerate(inner.basis):
-        for pos in b:
-            touched[j] |= exp_faces[pos % inner.block]
-
-    shifts = [u for u in box_points(fan.rank, 1) if any(u)]
-    need = [needs(u) for u in shifts]
-    origin = columns((0,) * fan.rank)
-    shifted = [columns(u) for u in shifts]
-
-    def product(k: int) -> dict:
-        to = shifted[k // n_basis]
-        vec = {}
-        for pos, x in inner.basis[k % n_basis].items():
-            for key, y in ((to[pos], x), (origin[pos], -x)):
-                v = vec.get(key, 0) + y
-                if v:
-                    vec[key] = v
-                else:
-                    vec.pop(key, None)
-        return vec
-
-    by_length = {}
-    for s, want in enumerate(need):
-        for j in range(n_basis):
-            if touched[j] & want == want:
-                k = s * n_basis + j
-                by_length.setdefault(len(product(k)), array("I")).append(k)
-    lat = RowSpan()
-    for length in sorted(by_length):
-        for k in by_length[length]:
-            lat.insert(product(k))
-    return lat.rank
-
-
-def ordinary_k_rank(fan: Fan, max_radius: int = 5) -> RankReport:
-    """Rank of the K-ring with the torus action forgotten.
-
-    At box radius d the estimate is dim(members at d) minus the rank of
-    (augmentation ideal) * (members at d-1) pushed into the d-box, stopped
-    by box_stabilize.
-
-    Step d builds one member basis, at radius d-1, because the ideal reads
-    its vectors; the dimension at d comes from member_dim, which builds no
-    basis.  box_stabilize draws the steps lazily, so the basis at the top
-    radius, the largest and costliest kernel, is never built.
-    """
-
-    def step(d: int) -> tuple:
-        dim = member_dim(fan, d)
-        ideal_rank = _augmentation_ideal_rank(fan, d, member_space(fan, d - 1))
-        return d, dim, ideal_rank, dim - ideal_rank
-
-    return box_stabilize(step, max_radius)
 
 
 # --- filtration basis ----------------------------------------------------------
@@ -640,6 +513,39 @@ def verify_generation(fan: Fan, basis: FiltrationBasis, samples: int = 25,
             generated += 1
     return {"samples": len(members), "generated": generated,
             "all_generated": generated == len(members)}
+
+
+# --- ordinary K-ring rank ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CertifiedRank:
+    """The ordinary K-ring rank, or None with the reason no basis was
+    certified."""
+
+    rank: Optional[int]
+    reason: Optional[str] = None
+
+    @property
+    def conclusive(self) -> bool:
+        return self.rank is not None
+
+
+def ordinary_k_rank(fan: Fan, max_radius: int = 4) -> CertifiedRank:
+    """Rank of the K-ring with the torus action forgotten.
+
+    K(X) = K_T(X) (x) Z over the representation ring (Merkurjev), so the
+    rank is the size of a module basis of the members: the one
+    build_filtration_basis certifies, with max_radius bounding its
+    singular-fan search.  Where that raises (an incomplete or non-cellular
+    fan, or a search that runs out of radius) the rank is unknown and the
+    error is the reason.
+    """
+    try:
+        basis = build_filtration_basis(fan, max_radius=max_radius)
+    except ValueError as exc:
+        return CertifiedRank(rank=None, reason=str(exc))
+    return CertifiedRank(rank=len(basis.elements))
 
 
 # --- monomial presentation for smooth fans -------------------------------------

@@ -26,8 +26,8 @@ def test_exit_code_contract(tmp_path, capsys):
     # unreadable file
     assert run(["cellular", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
-    # box exhaustion before stabilization
-    code, rep, _ = run_json(capsys, ["rank", "p2", "--box", "1"])
+    # a singular fan whose basis search has no box to search
+    code, rep, _ = run_json(capsys, ["rank", "p112", "--box", "0"])
     assert code == 3
     assert rep["conclusive"] is False
     # crosscheck needs its parameter
@@ -111,6 +111,20 @@ def test_rank_report(capsys):
     assert rep["result"]["conclusive"] is True
 
 
+def test_rank_hirzebruch_3_is_four(capsys):
+    code, rep, _ = run_json(capsys, ["rank", "hirzebruch:3"])
+    assert code == 0
+    assert rep["result"] == {"rank": 4, "conclusive": True, "reason": None}
+
+
+def test_rank_of_an_incomplete_fan_exits_3(capsys):
+    code, rep, _ = run_json(capsys, ["rank", "quadrant"])
+    assert code == 3
+    assert rep["conclusive"] is False
+    assert rep["result"]["rank"] is None
+    assert rep["result"]["reason"]
+
+
 def test_basis_report(capsys):
     code, rep, _ = run_json(capsys, ["basis", "p2", "--seed", "3"])
     assert code == 0
@@ -177,6 +191,16 @@ def test_crosscheck_report(capsys):
     assert rep["result"]["all_agree"] is True
     assert rep["result"]["ranks_match"] is True
     assert rep["seed"] == 0
+
+
+def test_crosscheck_with_mismatched_ranks_exits_3(capsys):
+    # the extended box rank of F5 stabilizes at 3 against the certified 4
+    code, rep, _ = run_json(capsys, ["crosscheck", "--hirzebruch", "5"])
+    assert code == 3
+    assert rep["conclusive"] is False
+    result = rep["result"]
+    assert (result["rank_direct"], result["rank_extended"], result["ranks_match"]) == (
+        4, 3, False)
 
 
 def test_human_format(capsys):

@@ -91,11 +91,11 @@ for _kind in BASES:
     INVOCATIONS[f"bundle {_kind} element"] = _bundle(_kind) + ["--element", ELEMENTS[_kind]]
 
 GOLDEN = {
-    'rank p1': "8ca2c4e62ed85cd61367fbd1d26520d84d62d449c27acc2763434a46352d4176",
-    'rank p2': "e85422e3f99396baf598d6932ba2ba45f14e45216f8d0bf05b63900dad620c23",
-    'rank f1': "11bbe5a46962fc45cc20b047fc3f5fdbe43d769fadb62e2b8154aa1f1f36d55c",
-    'rank hirzebruch:2': "973302b0b949a2332e73579c63f4ed58e49fc4347104703995462b80020704fd",
-    'rank p1xp1 human': "8b9541a1b9f9514699ada5d87c58fc1ad2011a531c8ae1ac9d4ae254b56e3be1",
+    'rank p1': "570b142ae53596fc8c809329cc068c1f65780721a8febc32423a40015e896189",
+    'rank p2': "4a82d337c022dc4942f527912cf52d5730dc8171ffa7c896a799c0a8f03c2f32",
+    'rank f1': "390acaf6e9b4b8b8baf657d27b0d9d36283bd0ef797e89d9655730a70e4e0442",
+    'rank hirzebruch:2': "536a4c993d7b329afd54e69771f6078eb61ede30a9e78173ef25e3b7e8b19a03",
+    'rank p1xp1 human': "74a6a44997202fa22aff4ed7cbfa9fcea6d141a3eb9f4b56d9ff7cc143234103",
     'basis p1': "9cfba107b052bd4f828bcf6347f70d0b1a210d646c608faf94faaa47aa184b43",
     'basis p2 seed 3': "3ea16b18b9c18de59b2a2e55d1e0c96c6d9a1f1dbcdade95afc6fbf436377611",
     'basis f1': "f77f1186afe43e79102bd157212f5fdf84ae9438fc361311f05edcf25d544a10",

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from kfan.cellular import check_cellular
 from kfan.fan import Fan, all_cones
 from kfan.intlat import RowSpan
 from kfan.kring import (
+    CertifiedRank,
     GkmElement,
     box_stabilize,
     build_filtration_basis,
@@ -21,7 +24,6 @@ from kfan.kring import (
     element_to_vector,
     gkm_check,
     is_smooth_fan,
-    member_dim,
     member_space,
     minimal_nonfaces,
     ordinary_k_rank,
@@ -34,6 +36,8 @@ from kfan.kring import (
     verify_generation,
 )
 from kfan.laurent import LaurentPoly, box_index, box_points
+
+from oracles import augmentation_ideal_rank, member_dim, ordinary_box_rank
 
 ACCEPTANCE = [catalog.p1(), catalog.p2(), catalog.p1xp1(), catalog.f1(), catalog.p112()]
 SMOOTH = [catalog.p1(), catalog.p2(), catalog.p1xp1(), catalog.f1()]
@@ -161,7 +165,7 @@ def _kernel_radii(monkeypatch) -> list:
 
 def test_rank_builds_no_basis_at_the_top_radius(monkeypatch):
     radii = _kernel_radii(monkeypatch)
-    rep = ordinary_k_rank(_p1_cubed())
+    rep = ordinary_box_rank(_p1_cubed())
     assert len(rep.history) == 3
     assert radii == [0, 1, 2]
 
@@ -206,13 +210,53 @@ def test_ordinary_k_rank_frozen():
         rep = ordinary_k_rank(fan)
         assert rep.conclusive, fan.name
         assert rep.rank == expected[fan.name], fan.name
-        assert rep.stabilized_at <= 4, fan.name
+        # conclusive by certificate: the rank counts a certified basis
+        assert rep.rank == len(build_filtration_basis(fan).elements), fan.name
 
 
 def test_ordinary_k_rank_affine_chart():
     # a single smooth cone: the K-ring collapses to the integers
-    rep = ordinary_k_rank(catalog.quadrant())
+    rep = ordinary_box_rank(catalog.quadrant())
     assert rep.conclusive and rep.rank == 1
+
+
+def test_ordinary_k_rank_of_an_incomplete_fan_is_inconclusive():
+    # the quadrant is not cellular, so no basis certifies a rank
+    rep = ordinary_k_rank(catalog.quadrant())
+    assert (rep.rank, rep.conclusive) == (None, False)
+    assert rep.reason.startswith("fan is not cellular")
+
+
+def test_ordinary_k_rank_f3_is_four():
+    # the box estimate stabilized at a false 11 here
+    rep = ordinary_k_rank(catalog.hirzebruch(3))
+    assert (rep.rank, rep.conclusive) == (4, True)
+
+
+def _bench_polygon_rays(n: int) -> list:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_jobs", Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return jobs.polygon_rays(n)
+
+
+def test_ordinary_k_rank_polygon12_is_twelve():
+    # the benchmark's 12-ray polygon, where the box estimate stabilized at 17
+    fan = _polygon(12)
+    assert list(fan.rays) == _bench_polygon_rays(12)
+    rep = ordinary_k_rank(fan)
+    assert (rep.rank, rep.conclusive) == (12, True)
+
+
+def test_ordinary_k_rank_without_certificate_is_inconclusive(monkeypatch):
+    def refuse(fan, basis):
+        raise ValueError("basis element 0 is not a member")
+
+    monkeypatch.setattr(kring, "_certify_basis", refuse)
+    rep = ordinary_k_rank(catalog.p2())
+    assert rep == CertifiedRank(rank=None, reason="basis element 0 is not a member")
+    assert not rep.conclusive
 
 
 def test_filtration_basis_triangular():
@@ -479,10 +523,10 @@ def test_element_serialization_roundtrip():
 def test_ordinary_k_rank_histories_frozen_rank_three():
     # the ideal rank inserts its products in its own order; the estimates
     # (radius, member_dim, ideal_rank, estimate) must not move
-    rep = ordinary_k_rank(_p3())
+    rep = ordinary_box_rank(_p3())
     assert rep.history == ((1, 51, 26, 25), (2, 317, 313, 4), (3, 991, 987, 4))
     assert (rep.rank, rep.stabilized_at, rep.conclusive) == (4, 3, True)
-    rep = ordinary_k_rank(_p1_cubed())
+    rep = ordinary_box_rank(_p1_cubed())
     assert rep.history == ((1, 125, 26, 99), (2, 729, 721, 8), (3, 2197, 2189, 8))
     assert (rep.rank, rep.stabilized_at, rep.conclusive) == (8, 3, True)
 
@@ -523,7 +567,7 @@ IDEAL_ORACLE_CASES = [
 def test_augmentation_ideal_rank_matches_full_shift_oracle(fan, radius):
     # radius 1 has inner radius 0, where every basis vector touches every face
     inner = member_space(fan, radius - 1)
-    assert (kring._augmentation_ideal_rank(fan, radius, inner)
+    assert (augmentation_ideal_rank(fan, radius, inner)
             == _full_shift_ideal_rank(fan, radius, inner))
 
 
@@ -534,7 +578,7 @@ def test_augmentation_ideal_inserts_only_kept_rows(monkeypatch, fan, inserts):
     calls = []
     insert = RowSpan.insert
     monkeypatch.setattr(RowSpan, "insert", lambda self, row: calls.append(1) or insert(self, row))
-    kring._augmentation_ideal_rank(fan, 2, member_space(fan, 1))
+    augmentation_ideal_rank(fan, 2, member_space(fan, 1))
     assert len(calls) == inserts
 
 
@@ -561,8 +605,8 @@ def test_box_stabilize_with_no_radius_has_no_rank():
     rep = box_stabilize(lambda d: pytest.fail("no radius to step"), 0)
     assert (rep.rank, rep.stabilized_at, rep.conclusive, rep.history) == (
         None, None, False, ())
-    # the CLI prints exactly this report for a zero box
-    assert ordinary_k_rank(catalog.p1(), max_radius=0) == rep
+    # max_radius bounds only the singular search; P1 is smooth
+    assert ordinary_k_rank(catalog.p1(), max_radius=0) == CertifiedRank(rank=2)
 
 
 def test_plateau_returns_the_first_repeat_or_the_last_value():
@@ -571,3 +615,28 @@ def test_plateau_returns_the_first_repeat_or_the_last_value():
     values = iter([5, 2, 2, 7])
     assert plateau(values) == 2
     assert list(values) == [7]  # drawn no further than the repeat
+
+
+RANK_CASES = (
+    [(catalog.hirzebruch(a), 4) for a in range(7)]
+    + [(_polygon(n), n) for n in range(4, 13)]
+    + [(_p3(), 4), (_p1_cubed(), 8), (catalog.p112(), 3)])
+
+
+@pytest.mark.parametrize("fan, rank", RANK_CASES, ids=[f.name for f, _ in RANK_CASES])
+def test_ordinary_k_rank_is_the_cell_count(fan, rank):
+    # one certified basis element per cell; P112 goes through the box search
+    assert ordinary_k_rank(fan) == CertifiedRank(rank=rank)
+
+
+def test_box_oracle_is_not_monotone():
+    # the box estimate stabilizes on every case and agrees with the
+    # certified rank on all but two, where two successive estimates agree
+    # on a false value (F3 runs 11, 11; polygon12 runs 35, 17, 17)
+    false_ranks = {}
+    for fan, rank in RANK_CASES:
+        rep = ordinary_box_rank(fan)
+        assert rep.conclusive, fan.name
+        if rep.rank != rank:
+            false_ranks[fan.name] = rep.rank
+    assert false_ranks == {"F3": 11, "polygon12": 17}
