@@ -13,19 +13,19 @@ import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .intlat import (
     IntMatrix,
     QuotientLattice,
+    adjugate,
     det,
     invariant_factors,
-    kernel_basis,
     primitive,
     quotient_lattice,
-    solve_rational,
 )
 
 
@@ -178,10 +178,38 @@ def lex_positive(v: Sequence[int]) -> tuple:
     raise ValueError("zero vector has no lexicographic sign")
 
 
+@dataclass(frozen=True)
+class ConeFrame:
+    """The dual basis of a maximal cone's rays, scaled to be integral.
+
+    mult is |det| of the ray matrix (the cone's multiplicity) and duals[i]
+    is the i-th row of the sign-corrected adjugate, so that
+    <duals[i], v_j> = mult * delta_ij for the cone's rays v_j in sorted
+    order.  duals[i] is the inner normal of the facet opposite ray i.
+    """
+
+    mult: int
+    duals: tuple
+
+
+@lru_cache(maxsize=None)
+def cone_frames(f: Fan) -> tuple:
+    """One ConeFrame per maximal cone, from one adjugate pass per cone."""
+    frames = []
+    for cone in f.max_cones:
+        d, adj = adjugate(f.ray_matrix(cone))
+        s = 1 if d > 0 else -1
+        frames.append(ConeFrame(abs(d), tuple(tuple(s * x for x in row) for row in adj.data)))
+    return tuple(frames)
+
+
 def barycentric(f: Fan, cone_index: int, v: Sequence[int]) -> tuple:
-    """Exact coordinates of v in the ray basis of the given maximal cone."""
-    cone = f.max_cones[cone_index]
-    return tuple(solve_rational(f.ray_matrix(cone), list(v)))
+    """Exact coordinates of v in the ray basis of the given maximal cone:
+    <w_i, v> / mult over the rows w_i of the cone's frame."""
+    if len(v) != f.rank:
+        raise ValueError("vector length does not match fan rank")
+    frame = cone_frames(f)[cone_index]
+    return tuple(Fraction(sum(a * b for a, b in zip(w, v)), frame.mult) for w in frame.duals)
 
 
 def in_cone(f: Fan, cone_index: int, v: Sequence[int]) -> bool:
@@ -200,29 +228,6 @@ def covers_point(f: Fan, v: Sequence[int]) -> bool:
 class ValidationReport:
     valid: bool
     violations: list = field(default_factory=list)
-
-
-def _scaled_dual_basis(f: Fan, cone: Cone) -> list:
-    """Integer vectors w_i with <w_i, v_j> = m * delta_ij for some m > 0.
-
-    Rows of the adjugate of the ray matrix, sign-corrected; these are the
-    (inner) facet normals of the simplicial cone, up to positive scale.
-    """
-    mat = f.ray_matrix(cone)
-    n = f.rank
-    d = det(mat)
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [[mat.data[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            sign = -1 if (i + j) % 2 else 1
-            row.append(sign * det(IntMatrix(minor)) if n > 1 else 1)
-        adj.append(row)
-    if d < 0:
-        adj = [[-x for x in row] for row in adj]
-    return adj
 
 
 def _fm_feasible(ineqs: list, n_vars: int) -> bool:
@@ -283,8 +288,8 @@ def _pair_separates(f: Fan, a: int, b: int) -> bool:
     Equivalent (for full-dimensional simplicial cones) to the existence of a
     functional vanishing on the common rays, strictly positive on the other
     rays of a and strictly negative on the other rays of b; u is expanded in
-    the facet-normal basis of cone a and the strictly positive coefficient
-    region is searched exactly.
+    the facet-normal basis of cone a (its frame's duals) and the strictly
+    positive coefficient region is searched exactly.
     """
     ca, cb = f.max_cones[a], f.max_cones[b]
     common = set(ca.ray_indices) & set(cb.ray_indices)
@@ -292,8 +297,7 @@ def _pair_separates(f: Fan, a: int, b: int) -> bool:
     neg_rays = [i for i in cb.ray_indices if i not in common]
     if not pos_rays or not neg_rays:
         return False  # identical cones; reported separately
-    duals = _scaled_dual_basis(f, ca)
-    dual_by_ray = dict(zip(ca.ray_indices, duals))
+    dual_by_ray = dict(zip(ca.ray_indices, cone_frames(f)[a].duals))
     g_rows = []
     for j in neg_rays:
         vj = f.rays[j]
@@ -323,11 +327,8 @@ def _pair_witness(f: Fan, a: int, b: int):
             candidates.append(tuple(x + y for x, y in zip(f.rays[i], f.rays[j])))
     boundary_hit = None
     for x in candidates:
-        try:
-            ba = barycentric(f, a, x)
-            bb = barycentric(f, b, x)
-        except ValueError:
-            continue
+        ba = barycentric(f, a, x)
+        bb = barycentric(f, b, x)
         if any(c < 0 for c in ba) or any(c < 0 for c in bb):
             continue
         outside = any(c > 0 for c, i in zip(ba, ca.ray_indices) if i not in common)
@@ -384,18 +385,18 @@ def walls(f: Fan) -> tuple:
 
     Each wall records its primitive character: the generator of the rank-one
     lattice of functionals vanishing on the face, first nonzero entry
-    positive.
+    positive.  That is the primitive part of the left cone's dual to its
+    one ray off the face, read from cone_frames.
     """
+    frames = cone_frames(f)
     out = []
     for face, cones in sorted(_facet_incidence(f).items()):
         if len(cones) != 2:
             continue
-        rows = IntMatrix([list(f.rays[i]) for i in face], cols=f.rank)
-        kb = kernel_basis(rows)
-        if kb.cols != 1:
-            raise ValueError(f"face {face} does not have corank one")
-        character = lex_positive(kb.column(0))
         left, right = sorted(cones)
+        rays = f.max_cones[left].ray_indices
+        off = next(i for i, r in enumerate(rays) if r not in face)
+        character = lex_positive(primitive(frames[left].duals[off]))
         out.append(Wall(face=Cone(face), left=left, right=right, character=character))
     return tuple(out)
 
@@ -446,30 +447,22 @@ def cones_containing(f: Fan, face: Cone) -> list:
 # --- smoothness and star quotients -------------------------------------------
 
 
-def is_smooth_cone(f: Fan, cone: Cone, ambient: Optional[QuotientLattice] = None) -> bool:
-    """Whether the cone's generators form part of a basis of the (quotient)
-    lattice: all invariant factors equal one.
-
-    With a quotient lattice, generators are projected and primitivized
-    first.  Dependent (or vanishing) projected generators raise ValueError.
-    """
-    gens = []
-    for i in cone.ray_indices:
-        v = f.rays[i]
-        if ambient is not None:
-            w = ambient.project_vec(v)
-            if not any(w):
-                raise ValueError(f"ray {i} projects to zero in the quotient")
-            gens.append(primitive(w))
-        else:
-            gens.append(v)
+def _is_basis_part(gens: Sequence, rows: int) -> bool:
+    """Whether the generators are part of a basis of Z^rows: all invariant
+    factors of their matrix equal one.  Dependent generators raise."""
     if not gens:
         return True
-    mat = IntMatrix.from_columns(gens)
-    factors = invariant_factors(mat)
+    factors = invariant_factors(IntMatrix.from_columns(list(gens), rows=rows))
     if len(factors) != len(gens):
         raise ValueError("dependent generators")
     return all(x == 1 for x in factors)
+
+
+def is_smooth_cone(f: Fan, cone: Cone) -> bool:
+    """Whether the cone's rays form part of a basis of the lattice (Smith
+    invariant factors; for a maximal cone, kring.is_smooth_fan reads the
+    same from cone_frames).  Dependent rays raise ValueError."""
+    return _is_basis_part([f.rays[i] for i in cone.ray_indices], f.rank)
 
 
 @dataclass(frozen=True)
@@ -481,14 +474,7 @@ class StarQuotient:
     cone_generators: dict  # max cone index -> tuple of projected primitive generators
 
     def is_smooth_at(self, cone_index: int) -> bool:
-        gens = self.cone_generators[cone_index]
-        if not gens:
-            return True
-        mat = IntMatrix.from_columns(list(gens), rows=self.lattice.rank)
-        factors = invariant_factors(mat)
-        if len(factors) != len(gens):
-            raise ValueError("dependent generators in star quotient")
-        return all(x == 1 for x in factors)
+        return _is_basis_part(self.cone_generators[cone_index], self.lattice.rank)
 
 
 def star_quotient(f: Fan, tau: Cone) -> StarQuotient:

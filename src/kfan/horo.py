@@ -18,7 +18,7 @@ from .bundle import extended_box_rank
 from .catalog import p1
 from .cellular import check_cellular
 from .fan import Fan, fan_to_json, json_int_rows, json_ints, parse_fan
-from .intlat import IntMatrix, rank as int_rank
+from .intlat import RowSpan
 from .kring import RankReport
 
 
@@ -62,9 +62,11 @@ def validate_horo(datum: HorosphericalDatum, seed: int = 0) -> dict:
         failures.append(f"embedding columns: {exc}")
     if len(datum.char_embedding) != datum.fan.rank:
         failures.append("embedding needs one column per fan coordinate")
-    elif datum.char_embedding:
-        m = IntMatrix([list(col) for col in datum.char_embedding])
-        if int_rank(m) != datum.fan.rank:
+    else:
+        span = RowSpan()
+        for col in datum.char_embedding:
+            span.insert(col)
+        if span.rank != datum.fan.rank:
             failures.append("embedding is not injective")
     cellular = check_cellular(datum.fan, seed=seed)
     if not cellular.verdict:

@@ -5,9 +5,10 @@ no modular shortcuts.  The module provides the small kit the rest of the
 package leans on:
 
 * Hermite and Smith normal forms with their unimodular transforms,
-* saturated kernels, integer linear solving, exact rank and determinant,
+* integer linear solving, and the determinant with the adjugate from one
+  fraction-free pass (fan.cone_frames reads every cone's dual basis there),
 * quotient lattices (by the saturation of a sublattice) with a section,
-* primitive vectors and exact rational solving for barycentric work,
+* primitive vectors,
 * two sparse incremental echelons on {column: coeff} rows: RowLattice,
   an exact Z-basis for kernels, member bases and membership probes, and
   RowSpan, an echelon of the rational span for callers that read only a
@@ -25,7 +26,6 @@ under 20 bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Optional, Sequence
@@ -251,71 +251,44 @@ def invariant_factors(m: IntMatrix) -> list:
     return [d.data[i][i] for i in range(min(d.rows, d.cols)) if d.data[i][i] != 0]
 
 
-def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of the span of the given integer row vectors (exact)."""
-    a = [list(map(int, row)) for row in rows if any(row)]
-    if not a:
-        return 0
-    cols = len(a[0])
-    rank = 0
-    for col in range(cols):
-        while True:
-            live = [i for i in range(rank, len(a)) if a[i][col] != 0]
-            if not live:
-                break
-            best = min(live, key=lambda i: abs(a[i][col]))
-            if best != rank:
-                _swap_rows(a, rank, best)
-            clean = True
-            for i in range(rank + 1, len(a)):
-                if a[i][col]:
-                    q = a[i][col] // a[rank][col]
-                    _add_row(a, i, rank, -q)
-                    if a[i][col]:
-                        clean = False
-            if clean:
-                break
-        if rank < len(a) and a[rank][col] != 0:
-            rank += 1
-            if rank == len(a):
-                break
-    return rank
+def adjugate(m: IntMatrix) -> tuple:
+    """(det, adj) of a square matrix from one fraction-free Gauss-Jordan pass.
 
-
-def rank(m: IntMatrix) -> int:
-    return rank_of_rows(m.data)
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    Bareiss's update a_ij <- (p * a_ij - a_ik * a_kj) / prev, with p the
+    pivot and prev the one before, runs on [m | I] above and below every
+    pivot, so each division is exact and every entry stays a minor of
+    [m | I].  The left block ends as d * I with d = +-det (the sign of the
+    row swaps), and the right block as d * m^-1 = +-adj(m).  A singular
+    matrix gives (0, None).
+    """
     if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
+        raise ValueError("adjugate of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return 1
-    a = [row[:] for row in m.data]
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.data)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if swap is None:
-                return 0
+                return 0, None
             _swap_rows(a, k, swap)
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    adj = IntMatrix([[sign * x for x in row[n:]] for row in a], cols=n)
+    return sign * prev, adj
 
 
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the saturated integer kernel {x : m * x = 0}, as columns."""
-    h, u = hermite_normal_form(m.transpose())
-    zero_rows = [i for i in range(h.rows) if not any(h.data[i])]
-    return IntMatrix.from_columns([u.data[i] for i in zero_rows], rows=m.cols)
+def det(m: IntMatrix) -> int:
+    """Exact determinant, read from the adjugate pass."""
+    return adjugate(m)[0]
 
 
 def primitive(v: Sequence[int]) -> tuple:
@@ -369,25 +342,6 @@ def quotient_lattice(ambient_rank: int, sub_basis: IntMatrix) -> QuotientLattice
     project = IntMatrix([p.data[i] for i in range(k, n)], cols=n)
     section = IntMatrix.from_columns([p_inv.column(j) for j in range(k, n)], rows=n)
     return QuotientLattice(n, n - k, project, section)
-
-
-def solve_rational(a: IntMatrix, b: Sequence[int]) -> list:
-    """Exact solution of a square nonsingular system over the rationals."""
-    n = a.rows
-    if a.cols != n or len(b) != n:
-        raise ValueError("solve_rational expects a square system")
-    m = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a.data, b)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [m[i][n] / m[i][i] for i in range(n)]
 
 
 class IntSolver:
@@ -651,9 +605,8 @@ def sparse_kernel_basis(n_cols: int, rows) -> list:
 
     `rows` is an iterable of sparse {column: coeff} constraint rows over
     n_cols variables.  Returns an echelon list of sparse kernel vectors
-    spanning the full integer kernel lattice.  Same contract as
-    kernel_basis, built by tracking coordinates through a RowLattice whose
-    leading block holds the constraint values.  The rows are read once and
+    spanning the full integer kernel lattice, built by tracking coordinates
+    through a RowLattice whose leading block holds the constraint values.  The rows are read once and
     held by columns, each column dropped as it goes into the lattice.
     """
     columns = {}

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cellular import check_cellular
-from .fan import Fan, all_cones, is_smooth_cone, walls
-from .intlat import RowLattice, solve_rational, sparse_kernel_basis
+from .fan import Fan, all_cones, cone_frames, walls
+from .intlat import RowLattice, sparse_kernel_basis
 from .laurent import (
     LaurentPoly,
     box_index,
@@ -552,7 +552,9 @@ def ordinary_k_rank(fan: Fan, max_radius: int = 4) -> CertifiedRank:
 
 
 def is_smooth_fan(fan: Fan) -> bool:
-    return all(is_smooth_cone(fan, c) for c in fan.max_cones)
+    """Whether every maximal cone's rays are a lattice basis: each cone's
+    multiplicity |det| in cone_frames is one."""
+    return all(frame.mult == 1 for frame in cone_frames(fan))
 
 
 def minimal_nonfaces(fan: Fan) -> list:
@@ -589,8 +591,8 @@ def sr_presentation(fan: Fan) -> SRPresentation:
     monomial in the generators.  Generator X_j is e^u on a cone containing
     ray j, with u the character dual to ray j in that cone's ray basis, and
     1 elsewhere; the certificate records each such u (zero off the star of
-    ray j).  Smoothness makes every ray basis a lattice basis, so the dual
-    characters are integral."""
+    ray j).  Smoothness makes every cone's multiplicity one, so u is the
+    dual row of cone_frames itself."""
     if not is_smooth_fan(fan):
         raise ValueError("monomial presentation requires a smooth fan")
     rels = [{"kind": "nonface", "rays": nf} for nf in minimal_nonfaces(fan)]
@@ -599,15 +601,10 @@ def sr_presentation(fan: Fan) -> SRPresentation:
         rels.append({"kind": "character", "u": u})
     zero = (0,) * fan.rank
     certificate = {}
-    for k, sigma in enumerate(fan.max_cones):
-        # rows of the system pair u against each ray of sigma
-        a = fan.ray_matrix(sigma).transpose()
+    for k, (sigma, frame) in enumerate(zip(fan.max_cones, cone_frames(fan))):
+        duals = dict(zip(sigma.ray_indices, frame.duals))
         for j in range(len(fan.rays)):
-            if j in sigma.ray_indices:
-                target = [int(r == j) for r in sigma.ray_indices]
-                certificate[(k, j)] = tuple(int(x) for x in solve_rational(a, target))
-            else:
-                certificate[(k, j)] = zero
+            certificate[(k, j)] = duals.get(j, zero)
     return SRPresentation(relations=tuple(rels), certificate=certificate)
 
 

@@ -292,18 +292,6 @@ def coset_rep(exp: Sequence[int], chi: Sequence[int]) -> tuple:
     return tuple(e - t * c for e, c in zip(exp, chi))
 
 
-def _coset_split(f: LaurentPoly, chi: tuple) -> dict:
-    """Group terms by coset of Z*chi; keys are canonical representatives."""
-    p = next(i for i, x in enumerate(chi) if x)
-    step = chi[p]
-    groups = {}
-    for exp, coef in f.terms.items():
-        t = exp[p] // step if step > 0 else -(exp[p] // -step)
-        rep = tuple(e - t * c for e, c in zip(exp, chi))
-        groups.setdefault(rep, {})[t] = coef
-    return groups
-
-
 def divides(f: LaurentPoly, chi: Sequence[int]) -> tuple:
     """Membership of f in the ideal (1 - e^chi), with the exact quotient.
 
@@ -317,7 +305,14 @@ def divides(f: LaurentPoly, chi: Sequence[int]) -> tuple:
         raise ValueError("character must be nonzero")
     if f.is_zero():
         return True, LaurentPoly.zero(f.rank)
-    groups = _coset_split(f, chi)
+    # group the terms by coset of Z*chi, keyed by coset_rep's representative
+    p = next(i for i, x in enumerate(chi) if x)
+    step = chi[p]
+    groups = {}
+    for exp, coef in f.terms.items():
+        t = exp[p] // step if step > 0 else -(exp[p] // -step)
+        rep = tuple(e - t * c for e, c in zip(exp, chi))
+        groups.setdefault(rep, {})[t] = coef
     for coeffs in groups.values():
         if sum(coeffs.values()) != 0:
             return False, None

@@ -6,9 +6,93 @@ from fractions import Fraction
 from typing import Sequence
 
 from kfan.fan import Cone, Fan, walls
-from kfan.intlat import RowSpan, solve_rational
+from kfan.intlat import IntMatrix, RowSpan, _add_row, _swap_rows, hermite_normal_form
 from kfan.kring import MemberSpace, RankReport, _wall_rows, box_stabilize, member_space
 from kfan.laurent import box_index, box_points
+
+
+# --- dense linear algebra: the library reads cone_frames and RowSpan instead --
+
+
+def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of the span of the given integer row vectors (exact)."""
+    a = [list(map(int, row)) for row in rows if any(row)]
+    if not a:
+        return 0
+    cols = len(a[0])
+    rank = 0
+    for col in range(cols):
+        while True:
+            live = [i for i in range(rank, len(a)) if a[i][col] != 0]
+            if not live:
+                break
+            best = min(live, key=lambda i: abs(a[i][col]))
+            if best != rank:
+                _swap_rows(a, rank, best)
+            clean = True
+            for i in range(rank + 1, len(a)):
+                if a[i][col]:
+                    q = a[i][col] // a[rank][col]
+                    _add_row(a, i, rank, -q)
+                    if a[i][col]:
+                        clean = False
+            if clean:
+                break
+        if rank < len(a) and a[rank][col] != 0:
+            rank += 1
+            if rank == len(a):
+                break
+    return rank
+
+
+def rank(m: IntMatrix) -> int:
+    return rank_of_rows(m.data)
+
+
+def kernel_basis(m: IntMatrix) -> IntMatrix:
+    """Basis of the saturated integer kernel {x : m * x = 0}, as columns."""
+    h, u = hermite_normal_form(m.transpose())
+    zero_rows = [i for i in range(h.rows) if not any(h.data[i])]
+    return IntMatrix.from_columns([u.data[i] for i in zero_rows], rows=m.cols)
+
+
+def leibniz_det(m: IntMatrix) -> int:
+    """Determinant as the signed sum over permutations."""
+    n = m.rows
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = 1
+        for i in range(n):
+            term *= m.data[i][perm[i]]
+        total += sign * term
+    return total
+
+
+def solve_rational(a: IntMatrix, b: Sequence[int]) -> list:
+    """Exact solution of a square nonsingular system over the rationals."""
+    n = a.rows
+    if a.cols != n or len(b) != n:
+        raise ValueError("solve_rational expects a square system")
+    m = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a.data, b)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[col], m[piv] = m[piv], m[col]
+        pv = m[col][col]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col] / pv
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+# --- fan and ring oracles ------------------------------------------------------
 
 
 def distinguished_face_bruteforce(f: Fan, cone_index: int, v: Sequence) -> Cone:

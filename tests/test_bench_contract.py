@@ -2,12 +2,17 @@
 
 perfbench/tracer.py wraps kfan functions and methods by name, and
 perfbench/jobs.py calls kfan through attribute reads.  A rename in src/
-would otherwise only show up as a failing benchmark run.
+would otherwise only show up as a failing benchmark run.  Short runs of
+perfbench/run.py itself check that nothing escapes its per-job handler.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +74,37 @@ def test_job_reads_exist():
         for attr in chain:
             assert hasattr(obj, attr), "kfan." + ".".join(chain)
             obj = getattr(obj, attr)
+
+
+def test_build_parser_is_an_argument_parser():
+    # jobs.build calls it with no arguments while setting up cli-small
+    assert isinstance(kfan.cli.build_parser(), argparse.ArgumentParser)
+
+
+def test_benchmark_clears_the_cone_frames_cache(monkeypatch):
+    # run.py imports its siblings by bare name; the monkeypatch drops them
+    # from sys.modules again afterwards
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("jobs", "reference", "tracer"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    modules = run.kfan_modules()
+    caches = run.cached_functions(modules)
+    assert modules["kfan.fan"].cone_frames in caches
+    assert modules["kfan.fan"].walls in caches
+
+
+@pytest.mark.parametrize("workload,seed", [("cli-small", 1), ("cli-small", 2),
+                                           ("cli-small", 3), ("toric-ladder", 1)])
+def test_benchmark_smoke_run(workload, seed):
+    # one pass of each job (two for cli-small), in a fresh interpreter
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", "0"],
+        capture_output=True, text=True, cwd=PERFBENCH.parent, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout.strip().splitlines()[-2][-4000:]
+    assert result["failed"] == 0

@@ -171,6 +171,14 @@ def test_validation_rejections():
     assert any("cellular" in f for f in rep["failures"])
 
 
+def test_validation_reports_ragged_embedding_columns():
+    # columns of unequal length once escaped the injectivity check as a
+    # ValueError (a traceback from `kfan horo`); they fail validation instead
+    rep = validate_horo(HorosphericalDatum.make(A2, [], p1xp1(), [(1, 0), (1,)]))
+    assert not rep["ok"]
+    assert any(f.startswith("embedding columns:") for f in rep["failures"])
+
+
 def test_make_rejects_non_integers():
     with pytest.raises(ValueError):
         HorosphericalDatum.make([[2]], [], p1(), [(1.7,)])

@@ -14,21 +14,19 @@ import pytest
 from kfan.intlat import (
     IntMatrix,
     IntSolver,
+    adjugate,
     det,
     hermite_normal_form,
     invariant_factors,
-    kernel_basis,
     primitive,
     quotient_lattice,
-    rank,
-    rank_of_rows,
     smith_normal_form,
     solve_integer,
-    solve_rational,
     sparse_kernel_basis,
     RowLattice,
     RowSpan,
 )
+from oracles import kernel_basis, leibniz_det, rank, rank_of_rows, solve_rational
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -191,28 +189,49 @@ def test_det_examples():
 
 def test_det_matches_definition_random():
     rng = random.Random(53)
-    import itertools
-
-    def perm_det(m):
-        n = m.rows
-        total = 0
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            seen = list(perm)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if seen[i] > seen[j]:
-                        sign = -sign
-            term = 1
-            for i in range(n):
-                term *= m.data[i][perm[i]]
-            total += sign * term
-        return total
-
     for _ in range(60):
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, n, bound=4)
-        assert det(m) == perm_det(m)
+        assert det(m) == leibniz_det(m)
+
+
+def test_adjugate_examples():
+    assert adjugate(IntMatrix([[2, 1], [1, 1]])) == (1, IntMatrix([[1, -1], [-1, 2]]))
+    # a zero pivot forces a row swap; adj(P) = det(P) * P^-1 = -P
+    assert adjugate(IntMatrix([[0, 1], [1, 0]])) == (-1, IntMatrix([[0, -1], [-1, 0]]))
+    assert adjugate(IntMatrix([[1, 2], [2, 4]])) == (0, None)
+    assert adjugate(IntMatrix([])) == (1, IntMatrix([]))
+    with pytest.raises(ValueError):
+        adjugate(IntMatrix([[1, 2]]))
+
+
+def test_adjugate_matches_det_and_inverse_random():
+    # m * adj = det * I, det is the Leibniz sum, and adj / det is the
+    # Fraction Gauss-Jordan inverse; a quarter of the matrices are made
+    # singular by a dependent last row
+    rng = random.Random(1968)
+    singular = 0
+    for _ in range(1000):
+        n = rng.randint(1, 5)
+        bound = rng.choice((2, 5, 1000))
+        m = random_matrix(rng, n, n, bound=bound)
+        if n > 1 and rng.random() < 0.25:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            m = IntMatrix(m.data[:-1] + [[a * x + b * y for x, y in zip(m.data[0], m.data[1])]])
+        d, adj = adjugate(m)
+        assert d == leibniz_det(m)
+        assert det(m) == d
+        if d == 0:
+            singular += 1
+            assert adj is None
+            with pytest.raises(ValueError):
+                solve_rational(m, [1] + [0] * (n - 1))
+            continue
+        assert m.mul(adj) == IntMatrix([[d * (i == j) for j in range(n)] for i in range(n)])
+        for j in range(n):
+            col = solve_rational(m, [int(i == j) for i in range(n)])
+            assert [adj.data[i][j] for i in range(n)] == [d * x for x in col]
+    assert singular > 150
 
 
 def test_solve_rational():
